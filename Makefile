@@ -11,7 +11,7 @@ SERVING_BENCH ?= Serve|ServiceThroughput|Replay
 SERVING_ITERS ?= 20000x
 BENCH_TOLERANCE ?= 0.20
 
-.PHONY: all build vet test race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard profile-serving ci
+.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e profile-serving ci
 
 all: ci
 
@@ -20,12 +20,28 @@ build:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-test:
+test: bench-check
 	$(GO) test ./...
 
+# The end-to-end yardstick (bench/, BENCHMARK.json) is its own module that
+# imports repro/internal/..., so `./...` never compiles it: vet and test it
+# here, or an internal/ change that breaks its build goes unnoticed until
+# someone runs the benchmark.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+
+# internal/runtime and internal/client are the concurrent core (instance
+# mailboxes, run queue, the multiplexed dfbin connection) and their
+# interleavings differ with the number of Ps: on top of the default
+# GOMAXPROCS they run at 1, 2 and 4.
+RACE_CPUS ?= 1,2,4
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client
 
 # Smoke-run every benchmark once; catches bit-rot without burning CI time.
 bench:
@@ -50,7 +66,7 @@ fuzz-smoke:
 # billing under -race. The seed matrix is fixed inside the tests; -count=1
 # defeats the test cache so every invocation really re-runs the faults.
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/runtime
+	$(GO) test -race -count=1 -cpu $(RACE_CPUS) -run 'TestChaos' ./internal/runtime
 
 # End-to-end binary smoke: build the real dfsd and dfserve binaries,
 # launch the daemon (HTTP + dfbin listeners), drive it with `dfserve
@@ -113,6 +129,16 @@ bench-guard: bench-serving
 		echo "bench-guard: regression reported; re-measuring once to rule out runner noise"; \
 		$(MAKE) bench-serving && $(BENCH_GUARD_CMD); }
 
+# The committed end-to-end benchmark (BENCHMARK.json, bench/README.md):
+# builds and execs the real dfsd, four workloads, three fingerprinted
+# repeats (~6 min). In CI it is a correctness gate — every answer checked
+# against the oracle, conservation, clean drain — and its result file is an
+# artifact; runner numbers are not comparable across machines, so for a
+# perf claim run it at the parent commit with `-o before.json` and
+# `-compare` on one box.
+bench-e2e:
+	$(GO) run -C bench . -repeat 3
+
 # Capture CPU/heap pprof profiles of the serving hot path (dfserve closed
 # loop). CI uploads prof/ with the bench output as workflow artifacts, so
 # every perf PR leaves a profile trail for regression archaeology:
@@ -123,4 +149,4 @@ profile-serving:
 	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -cpuprofile prof/dfserve-cpu.pprof -memprofile prof/dfserve-mem.pprof
 	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -schema pattern -cpuprofile prof/dfserve-pattern-cpu.pprof -memprofile prof/dfserve-pattern-mem.pprof
 
-ci: build vet test race bench fuzz-smoke chaos smoke torture cover bench-guard profile-serving
+ci: build vet test race bench fuzz-smoke chaos smoke torture cover bench-guard profile-serving bench-e2e

@@ -54,7 +54,7 @@ func main() {
 		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant token-bucket rate limit in inst/s (0 = unlimited)")
 		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = max(rate, 1))")
 		tenantFlight = fs.Int("tenant-inflight", 0, "per-tenant in-flight instance quota (0 = unlimited)")
-		shedQueue    = fs.Int("shed-queue", 0, "shed when the worker queue is deeper than this (0 = 4096, negative disables)")
+		shedQueue    = fs.Int("shed-queue", 0, "shed when more than this many runnable instances wait for a worker (0 = 4096, negative disables)")
 		shedP99      = fs.Duration("shed-p99", 0, "shed while the recent p99 exceeds this watermark (0 = off)")
 		latWindow    = fs.Int("latwindow", 4096, "latency samples retained per stats shard (sliding percentile window; 0 = unbounded)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "graceful shutdown: max wait for in-flight instances")
@@ -103,8 +103,8 @@ func main() {
 			Burst:       *tenantBurst,
 			MaxInFlight: *tenantFlight,
 		},
-		ShedQueueDepth: *shedQueue,
-		ShedP99:        *shedP99,
+		ShedQueueDepth:     *shedQueue,
+		ShedP99:            *shedP99,
 		DataDir:            *dataDir,
 		SnapshotEvery:      *snapEvery,
 		CaptureDir:         capf.Dir,

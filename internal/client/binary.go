@@ -372,6 +372,10 @@ func (c *bconn) writer() {
 			c.wq = spare[:0]
 			c.wmu.Unlock()
 			if len(buf) == 0 {
+				// spare is now installed as c.wq; keep the other buffer,
+				// or the next swap would hand roundTrip the very array
+				// nc.Write is still sending.
+				spare = buf
 				break
 			}
 			if _, err := c.nc.Write(buf); err != nil {

@@ -242,11 +242,15 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 
 	// Spread instances over distinct source vectors so dedup/cache can't
 	// collapse the whole fleet into one backend query — faults must be
-	// hit, not hidden; precompute each variant's oracle.
+	// hit, not hidden; precompute each variant's oracle. Instances
+	// submitted after the injection draw from a second, untouched set of
+	// variants: a fast service can have answered and cached every
+	// pre-injection variant by then, and a fault nothing reaches proves
+	// nothing.
 	const variants = 32
 	rng := rand.New(rand.NewSource(seed))
-	sources := make([]map[string]value.Value, variants)
-	oracles := make([]*snapshot.Snapshot, variants)
+	sources := make([]map[string]value.Value, 2*variants)
+	oracles := make([]*snapshot.Snapshot, 2*variants)
 	for v := range sources {
 		m := make(map[string]value.Value, len(base))
 		for name, val := range base {
@@ -298,6 +302,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 			sc.inject(reps)
 		}
 		v := i % variants
+		if i >= n/3 {
+			v += variants
+		}
 		oracle := oracles[v]
 		err := svc.Submit(Request{
 			Schema:   qs,

@@ -276,9 +276,9 @@ func TestCloseDrainsAcceptedInstances(t *testing.T) {
 }
 
 // TestSubmitCancelWithoutCtx: the cancel handle must abort promptly even
-// when the request carries no Ctx — including when the cancel nudge races
-// the begin job across workers (the nudge requeues behind begin rather
-// than being dropped).
+// when the request carries no Ctx — including when the cancel nudge is
+// posted before any worker has begun the instance (it sits behind begin in
+// the instance's mailbox rather than being dropped).
 func TestSubmitCancelWithoutCtx(t *testing.T) {
 	s, sources := quickstart(t)
 	svc := New(Config{Workers: 4, Backend: &Latency{Base: 200 * time.Millisecond}})
@@ -299,7 +299,7 @@ func TestSubmitCancelWithoutCtx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancel(cause) // immediately: races the begin job on purpose
+		cancel(cause) // immediately: before the begin has run, on purpose
 		select {
 		case res := <-done:
 			if res.Err == nil || !errors.Is(res.Err, cause) {

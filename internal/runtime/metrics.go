@@ -18,6 +18,11 @@ import (
 type Stats struct {
 	// Submitted counts accepted Submit calls.
 	Submitted uint64
+	// Scheduled counts run-queue pushes: how many times an instance went
+	// from idle to runnable (shadow instances included). An instance whose
+	// completions all arrive inline — Instant backend, cache hits — is
+	// pushed exactly once, so there Scheduled equals the submissions.
+	Scheduled uint64
 	// Completed counts instances that reached a terminal snapshot
 	// (including those that finished with Err).
 	Completed uint64
@@ -163,12 +168,12 @@ type shard struct {
 	shadowCompleted uint64
 	shadowErrors    uint64
 	work            uint64
-	wasted    uint64
-	launched  uint64
-	synth     uint64
-	failures  uint64
-	lats      latRing // latency samples, ns
-	tenants   map[string]*tenantCell
+	wasted          uint64
+	launched        uint64
+	synth           uint64
+	failures        uint64
+	lats            latRing // latency samples, ns
+	tenants         map[string]*tenantCell
 }
 
 // tenantCell is one tenant's per-shard slice.
@@ -259,7 +264,7 @@ type clusterStatser interface {
 
 // Stats merges all shards into an aggregate snapshot.
 func (s *Service) Stats() Stats {
-	st := Stats{Submitted: s.submitted.Load(), ShadowSubmitted: s.shadowSubmitted.Load()}
+	st := Stats{Submitted: s.submitted.Load(), Scheduled: s.scheduled.Load(), ShadowSubmitted: s.shadowSubmitted.Load()}
 	if d := s.disp; d != nil {
 		st.BackendQueries = d.backendQueries.Load()
 		st.Batches = d.batches.Load()
@@ -401,6 +406,7 @@ func (s *Service) CompletedTotal() uint64 {
 func (s *Service) ResetStats() {
 	s.submitted.Store(0)
 	s.shadowSubmitted.Store(0)
+	s.scheduled.Store(0)
 	if d := s.disp; d != nil {
 		d.backendQueries.Store(0)
 		d.batches.Store(0)

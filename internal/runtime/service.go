@@ -86,16 +86,20 @@ type Config struct {
 }
 
 // Service executes decision flow instances concurrently in wall-clock
-// time: Submit enqueues an instance; a pool of workers drives each one
-// through the shared engine.Core loop; foreign tasks run on the Backend
-// under a global in-flight bound. Per-instance state (snapshot,
-// prequalifier, scheduler scratch) is pooled, so steady-state serving
-// performs no per-instance allocation.
+// time. Each instance is a small actor: every event for it (begin, task
+// completion, cancel nudge) is posted to its mailbox, and the one worker
+// that owns the instance drains the mailbox to empty, driving the shared
+// engine.Core loop per message. Foreign tasks run on the Backend under a
+// global in-flight bound; completions delivered inline (Instant, cache
+// hits) land in the owner's own mailbox, so such an instance runs start
+// to finish on one worker with one run-queue push. Per-instance state
+// (snapshot, prequalifier, scheduler scratch) is pooled, so steady-state
+// serving performs no per-instance allocation.
 //
 // All methods are safe for concurrent use.
 type Service struct {
 	cfg     Config
-	queue   jobQueue
+	runq    runQueue
 	tokens  chan struct{}
 	pool    sync.Pool
 	shards  []shard
@@ -118,6 +122,7 @@ type Service struct {
 	closeMu   sync.RWMutex
 	closed    bool
 	submitted atomic.Uint64
+	scheduled atomic.Uint64 // run-queue pushes (Stats.Scheduled)
 	// shadowSubmitted counts Request.Shadow submissions, kept apart from
 	// submitted so the live Submitted/Completed pair stays an identity.
 	shadowSubmitted atomic.Uint64
@@ -151,7 +156,7 @@ func New(cfg Config) *Service {
 	if cfg.Query.enabled() {
 		s.disp = newDispatcher(cfg.Backend, s.tokens, cfg.Query)
 	}
-	s.queue.cond.L = &s.queue.mu
+	s.runq.cond.L = &s.runq.mu
 	s.pool.New = func() any { return &inst{svc: s} }
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -178,12 +183,7 @@ func (s *Service) SubmitCancel(req Request) (cancel func(cause error), err error
 	if err != nil {
 		return nil, err
 	}
-	return func(cause error) {
-		if cause == nil {
-			cause = context.Canceled
-		}
-		s.queue.push(job{in: in, gen: gen, cancel: true, cancelErr: cause})
-	}, nil
+	return func(cause error) { in.cancel(gen, cause) }, nil
 }
 
 // submit is Submit returning the accepted instance and its generation —
@@ -201,10 +201,12 @@ func (s *Service) submit(req Request) (*inst, uint64, error) {
 	in.req = req
 	in.start = time.Now()
 	// The generation stamps this occupancy of the pooled state: a cancel
-	// job carrying an older generation finds the instance recycled and
-	// does nothing. Submit owns the instance exclusively here (no job
-	// references it yet), and the queue's lock orders the store before
-	// any worker pop.
+	// nudge carrying an older generation finds the instance recycled and
+	// does nothing. A worker may be running such a stale nudge on this
+	// very state right now, which is why req and start (which that run
+	// never reads) are the only plain fields written here, gen is atomic,
+	// and begin goes through post like every other message — if a stale
+	// run owns the instance, begin is simply the next message behind it.
 	gen := in.gen.Add(1)
 	if req.Shadow {
 		s.shadowSubmitted.Add(1)
@@ -212,7 +214,7 @@ func (s *Service) submit(req Request) (*inst, uint64, error) {
 		s.submitted.Add(1)
 	}
 	s.active.Add(1)
-	s.queue.push(job{in: in, begin: true})
+	in.post(msg{kind: msgBegin})
 	return in, gen, nil
 }
 
@@ -316,42 +318,34 @@ func (s *Service) Close() {
 		return
 	}
 	s.active.Wait()
-	s.queue.close()
+	s.runq.close()
 	s.workers.Wait()
 	if s.disp != nil {
 		s.disp.stop()
 	}
 }
 
-// worker steps instances: begin jobs initialize a pooled instance and run
-// its first advance; completion jobs feed one finished database task back
-// into the instance's loop.
+// worker runs instances: it pops a runnable instance, owns it until its
+// mailbox is empty (or it retires), and goes back for the next.
 func (s *Service) worker(sh *shard) {
 	defer s.workers.Done()
 	for {
-		j, ok := s.queue.pop()
+		in, ok := s.runq.pop()
 		if !ok {
 			return
 		}
-		switch {
-		case j.begin:
-			j.in.begin(sh)
-		case j.cancel:
-			j.in.cancelJob(sh, j.gen, j.cancelErr)
-		default:
-			j.in.finishTask(sh, j.id, j.failed)
-		}
+		in.run(sh)
 	}
 }
 
 // taskDone is the backend completion path: release the admission token and
-// hand the completion to the worker pool. It must stay cheap and
-// non-blocking — it runs on backend goroutines (timers, pacers). A non-nil
-// err means the query terminally failed (every cluster retry exhausted):
-// the task completes as failed, delivering ⟂.
+// post the completion to the instance. It must stay cheap and non-blocking
+// — it runs on backend goroutines (timers, pacers) and never waits on the
+// instance's owner. A non-nil err means the query terminally failed (every
+// cluster retry exhausted): the task completes as failed, delivering ⟂.
 func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
 	<-s.tokens
-	s.queue.push(job{in: in, id: id, failed: err != nil})
+	s.taskDoneShared(in, id, err)
 }
 
 // taskDoneShared is the completion path for launches routed through the
@@ -360,35 +354,62 @@ func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
 // — a deduplicated or cached launch puts no new task on the database, so
 // it must not consume database admission. This only delivers.
 func (s *Service) taskDoneShared(in *inst, id core.AttrID, err error) {
-	s.queue.push(job{in: in, id: id, failed: err != nil})
+	kind := msgDone
+	if err != nil {
+		kind = msgFailed
+	}
+	in.post(msg{kind: kind, id: id})
 }
 
 // --- instance ---
 
-// inst is one pooled wall-clock instance: the shared engine.Core loop plus
-// the bookkeeping that serializes concurrent completions. mu guards all
-// fields below it; the lock is held while stepping the core and while
-// submitting launches (safe: completion delivery never blocks on it).
+// msg is one event for an instance. Everything that happens to an instance
+// arrives as a msg in its mailbox and is handled by its current owner, in
+// arrival order.
+type msg struct {
+	kind msgKind
+	id   core.AttrID // msgDone / msgFailed: the completed task
+	gen  uint64      // msgCancel: the generation the nudge targets
+	err  error       // msgCancel: the cause
+}
+
+type msgKind uint8
+
+const (
+	msgBegin  msgKind = iota // first advance of a freshly submitted request
+	msgDone                  // database task id completed
+	msgFailed                // database task id terminally failed (delivers ⟂)
+	msgCancel                // SubmitCancel nudge
+)
+
+// inst is one pooled wall-clock instance: the shared engine.Core loop
+// driven as an actor. mbMu guards only the mailbox and the scheduled flag;
+// every other field below them belongs to the instance's owner — the one
+// worker that popped it off the run queue — so stepping the core, launching
+// and the Done callback all run without any lock.
 type inst struct {
 	svc   *Service
 	req   Request
 	start time.Time
 	// gen stamps each occupancy of this pooled state (incremented by
-	// submit); cancel jobs carry the generation they target so a nudge
+	// submit); cancel nudges carry the generation they target so one
 	// arriving after recycling is inert.
 	gen atomic.Uint64
 
-	mu          sync.Mutex
+	mbMu sync.Mutex
+	mbox []msg
+	// scheduled is true from the post that found the instance idle until
+	// its owner finds the mailbox empty (or retires it): exactly then the
+	// instance is on the run queue or owned by a worker. Only the poster
+	// that flips it pushes, so an instance is never on the queue twice.
+	scheduled bool
+
+	// Owner-only state.
+	spare       []msg // the mailbox's other buffer (see run)
 	core        engine.Core
 	res         engine.Result
 	outstanding int // backend tasks submitted but not yet completed
 	finalized   bool
-	// begunGen is the generation whose begin job has initialized the
-	// state; a cancel nudge only acts between begin and finalize of its
-	// own generation (before begin, the drive-time ctx check catches the
-	// cancellation anyway).
-	begunGen uint64
-	refs     int // completion callbacks + result readers keeping the state alive
 	// doneFns caches one completion closure per attribute so steady-state
 	// launches allocate nothing; okFns are their error-less adapters for
 	// backends without outcome reporting.
@@ -398,35 +419,111 @@ type inst struct {
 	keyBuf []byte
 }
 
-// begin initializes the pooled state for the new request and runs the
-// first advance.
-func (in *inst) begin(sh *shard) {
-	in.mu.Lock()
-	if in.req.SourceSlots != nil {
-		in.core.ResetSlots(in.req.Schema, in.req.SourceSlots, in.req.Strategy, &in.res, nil)
-	} else {
-		in.core.Reset(in.req.Schema, in.req.Sources, in.req.Strategy, &in.res, nil)
+// post appends one event to the mailbox and, when nobody owns the instance,
+// makes it runnable. Safe from any goroutine, including the owner itself:
+// a completion delivered inline during a launch just queues behind the
+// message being handled.
+func (in *inst) post(m msg) {
+	in.mbMu.Lock()
+	in.mbox = append(in.mbox, m)
+	idle := !in.scheduled
+	in.scheduled = true
+	in.mbMu.Unlock()
+	if idle {
+		in.svc.scheduled.Add(1)
+		in.svc.runq.push(in)
 	}
-	in.outstanding = 0
-	in.finalized = false
-	in.refs = 0
-	in.begunGen = in.gen.Load()
-	in.drive(sh)
 }
 
-// drive advances the core and submits the launches it selects. Called
-// with in.mu held; releases it on every path.
-func (in *inst) drive(sh *shard) {
+// cancel is the body of a SubmitCancel handle: nudge occupancy gen to abort.
+func (in *inst) cancel(gen uint64, cause error) {
+	if cause == nil {
+		cause = context.Canceled
+	}
+	in.post(msg{kind: msgCancel, gen: gen, err: cause})
+}
+
+// run is the owner's loop: drain the mailbox to empty, one message at a
+// time in arrival order — the same completion order engine.Core sees in
+// virtual time, so running to quiescence changes where the steps execute,
+// not which steps (or which Work) there are. The mailbox is double
+// buffered by swapping two distinct slices, so posters never append into
+// the array being iterated.
+func (in *inst) run(sh *shard) {
+	for {
+		in.mbMu.Lock()
+		if len(in.mbox) == 0 {
+			in.scheduled = false
+			in.mbMu.Unlock()
+			return
+		}
+		batch := in.mbox
+		in.mbox = in.spare[:0]
+		in.mbMu.Unlock()
+		retire := false
+		for i := range batch {
+			// Nothing is outstanding once an instance retires, so anything
+			// behind the retiring message is a stale cancel nudge: skip it.
+			if retire = in.handle(sh, &batch[i]); retire {
+				break
+			}
+		}
+		clear(batch) // drop cancel causes
+		in.spare = batch
+		if retire {
+			in.retire()
+			return
+		}
+	}
+}
+
+// handle processes one message; true means the instance is finished with
+// (finalized and nothing outstanding) and must retire.
+func (in *inst) handle(sh *shard, m *msg) (retire bool) {
+	switch m.kind {
+	case msgBegin:
+		if in.req.SourceSlots != nil {
+			in.core.ResetSlots(in.req.Schema, in.req.SourceSlots, in.req.Strategy, &in.res, nil)
+		} else {
+			in.core.Reset(in.req.Schema, in.req.Sources, in.req.Strategy, &in.res, nil)
+		}
+		in.outstanding = 0
+		in.finalized = false
+		return in.drive(sh)
+	case msgCancel:
+		// Inert unless it targets the live occupancy: the handle is only
+		// returned after begin was posted, so mailbox order guarantees a
+		// matching generation has begun.
+		if m.gen != in.gen.Load() || in.finalized {
+			return false
+		}
+		return in.abort(sh, m.err)
+	default:
+		// Evaluation phase for one completed database task. A failed task's
+		// work was done (and stays in Work) but it delivers ⟂ (counted in
+		// Result.Failures) — the terminal outcome of a cluster query whose
+		// every retry failed.
+		in.outstanding--
+		if in.finalized {
+			// Straggler of an early-terminated instance: its work was sealed
+			// as waste at termination; the last one out releases the state.
+			return in.outstanding == 0
+		}
+		in.core.Complete(m.id, m.kind == msgFailed)
+		return in.drive(sh)
+	}
+}
+
+// drive advances the core and submits the launches it selects.
+func (in *inst) drive(sh *shard) (retire bool) {
 	if ctx := in.req.Ctx; ctx != nil {
 		if err := ctx.Err(); err != nil {
-			in.abort(sh, err)
-			return
+			return in.abort(sh, err)
 		}
 	}
 	launches, status := in.core.Advance()
 	if status != engine.StatusRunning {
-		in.finalize(sh, status)
-		return
+		return in.finalize(sh, status)
 	}
 	for _, id := range launches {
 		cost, _ := in.core.Book(id)
@@ -434,15 +531,16 @@ func (in *inst) drive(sh *shard) {
 		done := in.doneFn(id)
 		in.launch(id, cost, done)
 	}
-	in.mu.Unlock()
+	return false
 }
 
 // launch routes one booked task to the backend — through the shared query
-// layer when configured. Called with in.mu held (safe: neither path blocks
-// on completion delivery; see Backend docs). Admission control differs by
-// path: the direct path acquires a token per launch, the query layer per
-// unique backend query (deduplicated and cached launches hit no database,
-// so they bypass admission).
+// layer when configured. It may block on admission under overload, which
+// stalls only this owner: completion delivery never waits on it (see
+// Backend docs). Admission control differs by path: the direct path
+// acquires a token per launch, the query layer per unique backend query
+// (deduplicated and cached launches hit no database, so they bypass
+// admission).
 func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 	d := in.svc.disp
 	if d == nil {
@@ -480,58 +578,19 @@ func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 	d.Submit(key, keyed, cost, done)
 }
 
-// finishTask is the evaluation phase for one completed database task.
-// failed completes the task as a database failure: the query's work was
-// done (and stays in Work) but it delivers ⟂ (counted in Result.Failures)
-// — the terminal outcome of a cluster query whose every retry failed.
-func (in *inst) finishTask(sh *shard, id core.AttrID, failed bool) {
-	in.mu.Lock()
-	in.outstanding--
-	if in.finalized {
-		// Straggler of an early-terminated instance: its work was sealed
-		// as waste at termination; just release the state when last out.
-		in.deref()
-		return
-	}
-	in.core.Complete(id, failed)
-	in.drive(sh)
-}
-
-// cancelJob delivers a cancellation nudge from SubmitCancel: abort the
-// instance unless it already finalized or the pooled state was recycled
-// for a newer request (generation mismatch). A nudge that outruns its own
-// begin job — possible with 2+ workers, since begin is popped first but a
-// second worker can acquire in.mu before begin does — is requeued rather
-// than dropped: the caller was promised a prompt abort even without a
-// Request.Ctx to catch it at drive time.
-func (in *inst) cancelJob(sh *shard, gen uint64, err error) {
-	in.mu.Lock()
-	if in.gen.Load() != gen || in.finalized {
-		in.mu.Unlock()
-		return
-	}
-	if in.begunGen != gen {
-		in.mu.Unlock()
-		in.svc.queue.push(job{in: in, gen: gen, cancel: true, cancelErr: err})
-		return
-	}
-	in.abort(sh, err)
-}
-
 // abort terminates the instance early on cancellation: waste accounting is
 // sealed (in-flight backend tasks complete as stragglers) and the instance
-// finalizes now with the cancellation recorded on the result. Called with
-// in.mu held; releases it.
-func (in *inst) abort(sh *shard, cause error) {
+// finalizes now with the cancellation recorded on the result.
+func (in *inst) abort(sh *shard, cause error) (retire bool) {
 	in.core.Abort()
 	in.res.Err = fmt.Errorf("runtime: instance aborted: %w", cause)
-	in.finalize(sh, engine.StatusDone)
+	return in.finalize(sh, engine.StatusDone)
 }
 
-// finalize records the terminal result, notifies the caller, and returns
-// the instance to the pool once no completions or readers remain. Called
-// with in.mu held; releases it.
-func (in *inst) finalize(sh *shard, status engine.Status) {
+// finalize records the terminal result and notifies the caller. The state
+// stays alive for the callback plus every outstanding completion; the
+// instance retires here only when nothing is still on the backend.
+func (in *inst) finalize(sh *shard, status engine.Status) (retire bool) {
 	in.finalized = true
 	if status == engine.StatusStuck {
 		in.res.Err = fmt.Errorf("runtime: instance stuck; no candidates, nothing in flight:\n%s", in.core.Snapshot())
@@ -543,30 +602,29 @@ func (in *inst) finalize(sh *shard, status engine.Status) {
 	} else {
 		sh.record(&in.res, latency, in.req.Tenant)
 	}
-	// Keep the state alive for the callback plus every outstanding
-	// completion; the last dropper recycles.
-	in.refs = in.outstanding + 1
-	cb := in.req.Done
-	res := &in.res
-	in.mu.Unlock()
-	if cb != nil {
-		cb(res)
+	if cb := in.req.Done; cb != nil {
+		cb(&in.res)
 	}
-	in.mu.Lock()
-	in.deref()
+	return in.outstanding == 0
 }
 
-// deref drops one reference and retires the instance when none remain.
-// Called with in.mu held; releases it.
-func (in *inst) deref() {
-	in.refs--
-	retire := in.refs == 0
-	in.mu.Unlock()
-	if retire {
-		in.req = Request{} // drop caller references before pooling
-		in.svc.pool.Put(in)
-		in.svc.active.Done()
-	}
+// retire returns the finished instance to the pool. Nothing is
+// outstanding, so whatever sits in the mailbox — or arrives later — is a
+// stale cancel nudge: drop those, and hand ownership back (scheduled=false)
+// before the Put, because after it the state may belong to a new request.
+// A late nudge then schedules a run of its own that finds a finalized
+// instance or a newer generation and does nothing. The caller must not
+// touch in again.
+func (in *inst) retire() {
+	in.req = Request{} // drop caller references before pooling
+	in.mbMu.Lock()
+	clear(in.mbox)
+	in.mbox = in.mbox[:0]
+	in.scheduled = false
+	in.mbMu.Unlock()
+	svc := in.svc
+	svc.pool.Put(in)
+	svc.active.Done()
 }
 
 // doneFn returns the cached completion closure for the attribute.
@@ -602,35 +660,21 @@ func (in *inst) okFn(id core.AttrID) func() {
 	return in.okFns[id]
 }
 
-// --- worker queue ---
+// --- run queue ---
 
-// job is one unit of worker work: the first advance of a freshly
-// submitted instance (begin), the completion of database task id (failed
-// when the query terminally failed), or a cancellation nudge (cancel,
-// targeting generation gen with cancelErr as the cause).
-type job struct {
-	in        *inst
-	id        core.AttrID
-	begin     bool
-	failed    bool
-	cancel    bool
-	gen       uint64
-	cancelErr error
-}
-
-// jobQueue is an unbounded MPMC FIFO. Unbounded is deliberate: admission
-// control bounds database tasks, while instance starts are the open
-// workload itself — under overload the queue depth is the load shed
-// signal (see Service.QueueDepth).
-type jobQueue struct {
+// runQueue is an unbounded MPMC FIFO of runnable instances. Unbounded is
+// deliberate: admission control bounds database tasks, while instance
+// starts are the open workload itself — under overload the queue depth is
+// the load shed signal (see Service.QueueDepth).
+type runQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
-	items  []job
+	items  []*inst
 	head   int
 	closed bool
 }
 
-func (q *jobQueue) push(j job) {
+func (q *runQueue) push(in *inst) {
 	q.mu.Lock()
 	// Compact when the dead prefix dominates, so a queue that never fully
 	// drains (sustained overload backlog) doesn't grow without bound.
@@ -640,43 +684,44 @@ func (q *jobQueue) push(j job) {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	q.items = append(q.items, j)
+	q.items = append(q.items, in)
 	q.mu.Unlock()
 	q.cond.Signal()
 }
 
-func (q *jobQueue) pop() (job, bool) {
+func (q *runQueue) pop() (*inst, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head == len(q.items) {
-		return job{}, false
+		return nil, false
 	}
-	j := q.items[q.head]
-	q.items[q.head] = job{}
+	in := q.items[q.head]
+	q.items[q.head] = nil
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
 		q.head = 0
 	}
-	return j, true
+	return in, true
 }
 
-func (q *jobQueue) close() {
+func (q *runQueue) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
 
-func (q *jobQueue) depth() int {
+// QueueDepth returns the number of runnable instances waiting for a worker
+// — instances with undelivered events (a begin, completions, a cancel) that
+// no worker owns yet. It is the backlog signal under overload; an instance
+// counts once however many events it has pending.
+func (s *Service) QueueDepth() int {
+	q := &s.runq
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items) - q.head
 }
-
-// QueueDepth returns the number of pending worker jobs (instance starts
-// plus undelivered completions) — the backlog signal under overload.
-func (s *Service) QueueDepth() int { return s.queue.depth() }

@@ -18,8 +18,8 @@ import (
 	"repro/internal/api"
 	"repro/internal/capture"
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/flows"
 	"repro/internal/runtime"

@@ -8,8 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	stdruntime "runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"

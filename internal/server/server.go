@@ -16,9 +16,10 @@
 //
 // Admission runs in layers: per-tenant token-bucket rate limit and
 // in-flight quota first (429 + Retry-After, counted per cause), then the
-// global overload watermarks — worker queue depth and recent p99 — which
-// shed regardless of tenant (a full queue hurts everyone's latency). What
-// is admitted runs under the service's own backend admission.
+// global overload watermarks — runnable instances waiting for a worker and
+// recent p99 — which shed regardless of tenant (a full queue hurts
+// everyone's latency). What is admitted runs under the service's own
+// backend admission.
 package server
 
 import (
@@ -54,8 +55,10 @@ type Config struct {
 	// Tenant are the per-tenant admission limits (each tenant gets its
 	// own bucket/quota with these bounds). Zero means unlimited.
 	Tenant TenantLimits
-	// ShedQueueDepth sheds new work once the service's worker queue is
-	// deeper than this watermark (0 = 4096). Negative disables.
+	// ShedQueueDepth sheds new work once more than this many runnable
+	// instances are waiting for a worker (runtime.Service.QueueDepth; an
+	// instance counts once however many events it has pending). 0 = 4096;
+	// negative disables.
 	ShedQueueDepth int
 	// ShedP99 sheds new work while the service's recent p99 exceeds this
 	// watermark (0 disables). The p99 is sampled in the background every
