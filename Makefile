@@ -11,7 +11,7 @@ SERVING_BENCH ?= Serve|ServiceThroughput|Replay
 SERVING_ITERS ?= 20000x
 BENCH_TOLERANCE ?= 0.20
 
-.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e profile-serving ci
+.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder profile-serving ci
 
 all: ci
 
@@ -138,6 +138,13 @@ bench-guard: bench-serving
 # `-compare` on one box.
 bench-e2e:
 	$(GO) run -C bench . -repeat 3
+
+# The traced run of the same benchmark: per-layer metrics, outside-in
+# spans and the 12-rung CPU-time cost ladder for all four workloads
+# (~4 min). This is where a perf PR reads which rung to spend next and
+# shows, rung by rung, where its saving landed.
+bench-ladder:
+	$(GO) run -C bench . --trace 1
 
 # Capture CPU/heap pprof profiles of the serving hot path (dfserve closed
 # loop). CI uploads prof/ with the bench output as workflow artifacts, so

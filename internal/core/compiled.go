@@ -29,6 +29,9 @@ func NewAttrSet(n int) AttrSet { return make(AttrSet, (n+63)/64) }
 // Add inserts id into the set.
 func (s AttrSet) Add(id AttrID) { s[id>>6] |= 1 << (uint(id) & 63) }
 
+// Remove deletes id from the set.
+func (s AttrSet) Remove(id AttrID) { s[id>>6] &^= 1 << (uint(id) & 63) }
+
 // Has reports membership of id.
 func (s AttrSet) Has(id AttrID) bool { return s[id>>6]&(1<<(uint(id)&63)) != 0 }
 
@@ -102,6 +105,59 @@ func (s *Schema) EnablingDeps(a AttrID) AttrSet { return s.enabDepsOf[a] }
 // condition reads a — the transpose of EnablingDeps, which is what a
 // completion of a dirties. The set must not be modified.
 func (s *Schema) EnablingDependentsSet(a AttrID) AttrSet { return s.enabDepOn[a] }
+
+// SynthesisSet returns the set of attributes computed by a synthesis task —
+// the ones the engine executes inline rather than launching. The set must
+// not be modified.
+func (s *Schema) SynthesisSet() AttrSet { return s.synth }
+
+// InitialNeeded returns the backward-propagation result for a fresh
+// instance, before anything but the sources is stable: the non-source
+// attributes reachable backwards from a target over data and enabling
+// edges. Within one instance the needed set only ever shrinks from here, so
+// the prequalifier starts from a copy instead of sweeping the schema per
+// instance. The set must not be modified.
+func (s *Schema) InitialNeeded() AttrSet { return s.needed0 }
+
+// InitialSupport returns, per attribute, what keeps it in InitialNeeded: 1
+// if it is a target, plus one per data edge and one per enabling edge into
+// an InitialNeeded dependent. The slice must not be modified.
+func (s *Schema) InitialSupport() []int32 { return s.support0 }
+
+// compileBackward fills synth, needed0 and support0. Dependents come later
+// in topological order, so one reverse pass sees every dependent's verdict
+// before it is counted.
+func (s *Schema) compileBackward() {
+	n := len(s.attrs)
+	s.synth = NewAttrSet(n)
+	s.needed0 = NewAttrSet(n)
+	s.support0 = make([]int32, n)
+	for i := len(s.topo) - 1; i >= 0; i-- {
+		b := s.topo[i]
+		a := s.attrs[b]
+		if a.Task != nil && a.Task.Kind == SynthesisTask {
+			s.synth.Add(b)
+		}
+		var sup int32
+		if a.IsTarget {
+			sup = 1
+		}
+		for _, c := range s.dataOut[b] {
+			if s.needed0.Has(c) {
+				sup++
+			}
+		}
+		for _, c := range s.enabOut[b] {
+			if s.needed0.Has(c) {
+				sup++
+			}
+		}
+		s.support0[b] = sup
+		if sup > 0 && !a.isSource {
+			s.needed0.Add(b)
+		}
+	}
+}
 
 // compilePrograms builds the compiled execution artifacts. Called once by
 // finalize after validation succeeds, so name resolution cannot fail for

@@ -35,6 +35,9 @@ type Schema struct {
 	valProgs   []*expr.Program
 	enabDepsOf []AttrSet // enabDepsOf[a]: attrs a's condition reads
 	enabDepOn  []AttrSet // enabDepOn[a]: attrs whose condition reads a
+	synth      AttrSet   // attrs with a synthesis task
+	needed0    AttrSet   // needed set of a fresh instance
+	support0   []int32   // what holds each attr in needed0 (see InitialSupport)
 
 	// fingerprint is a deterministic hash of the schema structure, computed
 	// once at finalize; see Fingerprint.
@@ -245,6 +248,7 @@ func (s *Schema) finalize() error {
 		return &ValidationError{Schema: s.name, Problems: problems}
 	}
 	s.compilePrograms()
+	s.compileBackward()
 	// FNV-1a over the canonical JSON rendering: MarshalJSON iterates
 	// attributes in ID order, so the hash is stable across processes.
 	js, err := s.MarshalJSON()

@@ -141,43 +141,32 @@ func (c *Core) Advance() ([]core.AttrID, Status) {
 			c.seal()
 			return nil, StatusDone
 		}
-		c.cands = c.pq.AppendCandidates(c.cands[:0])
-		// Execute synthesis candidates inline: they cost no DB work and
-		// unblock further propagation at the same instant.
-		ranSynthesis := false
-		foreign := c.cands[:0]
-		for _, id := range c.cands {
-			task := c.schema.Attr(id).Task
-			if task.Kind == core.SynthesisTask {
-				c.pq.MarkLaunched(id)
-				c.res.SynthesisRuns++
-				if c.OnSynthesis != nil {
-					c.OnSynthesis(id)
-				}
-				c.pq.NoteResult(id, c.compute(id))
-				ranSynthesis = true
-				break // pool changed; recompute candidates
-			}
-			foreign = append(foreign, id)
+		// Execute synthesis candidates inline, lowest ID first: they cost no
+		// DB work and unblock further propagation at the same instant.
+		id, ok := c.pq.FirstCandidateIn(c.schema.SynthesisSet())
+		if !ok {
+			break
 		}
-		if ranSynthesis {
-			continue
+		c.pq.MarkLaunched(id)
+		c.res.SynthesisRuns++
+		if c.OnSynthesis != nil {
+			c.OnSynthesis(id)
 		}
-		// Scheduling phase: select foreign tasks up to the %Permitted cap.
-		selected := c.sch.SelectInto(c.schema, foreign, len(c.inFlight), c.sel)
-		if cap(selected) > cap(c.sel) {
-			c.sel = selected[:0]
-		}
-		if len(selected) == 0 {
-			if len(c.inFlight) == 0 {
-				// Nothing running, nothing to run, not terminal: stuck.
-				c.seal()
-				return nil, StatusStuck
-			}
-			return nil, StatusRunning
-		}
-		return selected, StatusRunning
+		c.pq.NoteResult(id, c.compute(id))
 	}
+	// Scheduling phase: what is left in the pool is foreign; select up to
+	// the %Permitted cap.
+	c.cands = c.pq.AppendCandidates(c.cands[:0])
+	selected := c.sch.SelectInto(c.schema, c.cands, len(c.inFlight), c.sel)
+	if cap(selected) > cap(c.sel) {
+		c.sel = selected[:0]
+	}
+	if len(selected) == 0 && len(c.inFlight) == 0 {
+		// Nothing running, nothing to run, not terminal: stuck.
+		c.seal()
+		return nil, StatusStuck
+	}
+	return selected, StatusRunning
 }
 
 // Book records the launch of one selected foreign task: it leaves the

@@ -150,15 +150,38 @@ func cellOfTruth(t Truth) cell {
 
 // cmp3 is the three-valued comparison shared by all comparison opcodes: a
 // known ⟂ operand decides the comparison (False) even while the other side
-// is unknown, exactly as the walker.
-func cmp3(op CmpOp, l, r cell) Truth {
-	if l.known && l.v.IsNull() || r.known && r.v.IsNull() {
+// is unknown, exactly as the walker. The operands stay where they are (a
+// slot, a constant, a stack cell) and are read through pointers, an unknown
+// operand is never dereferenced, and two numbers compare without leaving
+// this function. NaN goes to compare, whose ordering of it (value.Compare
+// answers "equal") is the walker's and must not be restated.
+func cmp3(op CmpOp, l *value.Value, lKnown bool, r *value.Value, rKnown bool) Truth {
+	if lKnown && value.NullAt(l) || rKnown && value.NullAt(r) {
 		return False
 	}
-	if !l.known || !r.known {
+	if !lKnown || !rKnown {
 		return Unknown
 	}
-	return TruthOf(compare(op, l.v, r.v))
+	lf, lNum := value.NumericAt(l)
+	rf, rNum := value.NumericAt(r)
+	if !lNum || !rNum || lf != lf || rf != rf {
+		return TruthOf(compare(op, *l, *r))
+	}
+	switch op {
+	case EQ:
+		return TruthOf(lf == rf)
+	case NE:
+		return TruthOf(lf != rf)
+	case LT:
+		return TruthOf(lf < rf)
+	case LE:
+		return TruthOf(lf <= rf)
+	case GT:
+		return TruthOf(lf > rf)
+	case GE:
+		return TruthOf(lf >= rf)
+	}
+	return False // out-of-range op, as compare
 }
 
 // run executes the program and returns the final stack pointers.
@@ -208,20 +231,23 @@ func (p *Program) run(m *Machine, vals []value.Value, known []bool) (vsp, tsp in
 			}
 		case opCmp:
 			vsp -= 2
-			tst[tsp] = cmp3(CmpOp(in.x), vst[vsp], vst[vsp+1])
+			l, r := &vst[vsp], &vst[vsp+1]
+			tst[tsp] = cmp3(CmpOp(in.x), &l.v, l.known, &r.v, r.known)
 			tsp++
 		case opCmpSS:
-			l := cell{v: vals[in.a], known: known == nil || known[in.a]}
-			r := cell{v: vals[in.b], known: known == nil || known[in.b]}
-			tst[tsp] = cmp3(CmpOp(in.x), l, r)
+			tst[tsp] = cmp3(CmpOp(in.x),
+				&vals[in.a], known == nil || known[in.a],
+				&vals[in.b], known == nil || known[in.b])
 			tsp++
 		case opCmpSC:
-			l := cell{v: vals[in.a], known: known == nil || known[in.a]}
-			tst[tsp] = cmp3(CmpOp(in.x), l, cell{v: p.consts[in.b], known: true})
+			tst[tsp] = cmp3(CmpOp(in.x),
+				&vals[in.a], known == nil || known[in.a],
+				&p.consts[in.b], true)
 			tsp++
 		case opCmpCS:
-			r := cell{v: vals[in.b], known: known == nil || known[in.b]}
-			tst[tsp] = cmp3(CmpOp(in.x), cell{v: p.consts[in.a], known: true}, r)
+			tst[tsp] = cmp3(CmpOp(in.x),
+				&p.consts[in.a], true,
+				&vals[in.b], known == nil || known[in.b])
 			tsp++
 		case opAnd:
 			n := int(in.a)

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/value"
@@ -137,6 +138,57 @@ func TestCompileDegenerateTrees(t *testing.T) {
 			tv, tok := EvalValue(e, env)
 			if cok != tok || (cok && !value.Identical(cv, tv)) {
 				t.Errorf("%s over %v: compiled value (%v,%v), tree (%v,%v)", e, env, cv, cok, tv, tok)
+			}
+		}
+	}
+}
+
+// TestComparisonsMatchWalker is the exhaustive table for the comparison
+// opcodes, which decide numbers in place instead of calling the walker's
+// compare: every pairing of NaN, ±Inf, ints, floats (equal, adjacent,
+// beyond float precision), strings, ⟂ and non-comparable kinds, under all
+// six operators and an out-of-range one, in the three fused shapes and the
+// stack one, with each slot known and unknown. NaN is the case to watch —
+// value.Compare calls it equal to everything, so `NaN <= x` is True.
+func TestComparisonsMatchWalker(t *testing.T) {
+	operands := []value.Value{
+		value.Float(math.NaN()), value.Float(math.Inf(1)), value.Float(math.Inf(-1)),
+		value.Int(3), value.Float(3), value.Float(2.5), value.Int(-3), value.Float(math.Copysign(0, -1)), value.Int(0),
+		value.Int(1<<53 + 1), value.Float(1 << 53),
+		value.Str("3"), value.Str("a"), value.Str("b"),
+		value.Null, value.Bool(true), value.List(value.Int(3)),
+	}
+	ops := []CmpOp{EQ, NE, LT, LE, GT, GE, CmpOp(9)}
+	x, y := Attr{Name: "x"}, Attr{Name: "y"}
+	var m Machine
+	check := func(e Cmp, want opcode, env MapEnv) {
+		t.Helper()
+		p, err := Compile(e, testResolve)
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", e, err)
+		}
+		if last := p.code[len(p.code)-1].op; last != want || (want != opCmp && len(p.code) != 1) {
+			t.Fatalf("%s compiled to %v, want opcode %d (alone if fused)", e, p.code, want)
+		}
+		vals, known := slotsOf(env)
+		if got, want := p.Eval3(&m, vals, known), Eval3(e, env); got != want {
+			t.Errorf("%s over %v: compiled %v, tree %v", e, env, got, want)
+		}
+		cv, cok := p.EvalValue(&m, vals, known)
+		tv, tok := EvalValue(e, env)
+		if cok != tok || (cok && !value.Identical(cv, tv)) {
+			t.Errorf("%s over %v: compiled value (%v,%v), tree (%v,%v)", e, env, cv, cok, tv, tok)
+		}
+	}
+	for _, op := range ops {
+		for _, l := range operands {
+			for _, r := range operands {
+				for _, env := range []MapEnv{{"x": l, "y": r}, {"x": l}, {"y": r}, {}} {
+					check(Cmp{Op: op, L: x, R: y}, opCmpSS, env)
+					check(Cmp{Op: op, L: x, R: Const{Val: r}}, opCmpSC, env)
+					check(Cmp{Op: op, L: Const{Val: l}, R: y}, opCmpCS, env)
+					check(Cmp{Op: op, L: Call{Fn: "coalesce", Args: []Expr{x, x}}, R: y}, opCmp, env)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/value"
@@ -34,6 +35,19 @@ func FuzzEval3(f *testing.F) {
 	f.Add([]byte{4, 0, 6, 1, 4, 9, 2, 1, 0, 1, 1}, uint16(0x35))
 	f.Add([]byte{5, 2, 3, 1, 2, 7, 1, 0, 0, 8, 1, 1}, uint16(0x2a))
 	f.Add([]byte{9, 4, 2, 1, 0, 1, 1, 9, 0, 1, 1, 2}, uint16(0x5b))
+	// The three fused leaf comparisons (slot⋈const, const⋈slot, slot⋈slot)
+	// under each operator, over environments where a2 is NaN, a5 is +Inf and
+	// a4 is a string (see fuzzEnv) and where they are unknown: the shapes
+	// cmp3 decides without the walker's compare.
+	for op := byte(0); op < 6; op++ {
+		for _, bits := range []uint16{0x0fff, 0x0c30, 0x0300, 0x0004, 0} {
+			f.Add([]byte{2, op, 0, 5, 2, 0, 3, 133}, bits)              // a2 op 5
+			f.Add([]byte{2, op, 0, 4, 10, 0, 5, 5}, bits)               // 2.0 op a5
+			f.Add([]byte{2, op, 0, 5, 2, 0, 5, 5}, bits)                // a2 op a5
+			f.Add([]byte{2, op, 0, 5, 4, 0, 2, 12}, bits)               // a4 op "m"
+			f.Add([]byte{3, 0, 2, op, 0, 5, 1, 0, 5, 4, 5, 0, 5}, bits) // a1 op a4 and not a0
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, prog []byte, envBits uint16) {
 		d := &treeDecoder{data: prog}
@@ -61,7 +75,7 @@ func FuzzEval3(f *testing.F) {
 			t.Fatalf("compiled Eval3 = %v, tree = %v\nexpr: %s\nenv: %v", ct, got, e, env)
 		}
 		tv, tok := EvalValue(e, env)
-		if cv, cok := cp.EvalValue(&m, vals, known); cok != tok || (cok && !value.Identical(cv, tv)) {
+		if cv, cok := cp.EvalValue(&m, vals, known); cok != tok || (cok && !sameValue(cv, tv)) {
 			t.Fatalf("compiled EvalValue = (%v, %v), tree = (%v, %v)\nexpr: %s\nenv: %v",
 				cv, cok, tv, tok, e, env)
 		}
@@ -89,7 +103,7 @@ func FuzzEval3(f *testing.F) {
 		// Total-environment mode (nil known mask, the engine's value-program
 		// path) must match the tree-walker over the all-known env.
 		tv, tok = EvalValue(e, full)
-		if cv, cok := cp.EvalValue(&m, fullVals, nil); cok != tok || (cok && !value.Identical(cv, tv)) {
+		if cv, cok := cp.EvalValue(&m, fullVals, nil); cok != tok || (cok && !sameValue(cv, tv)) {
 			t.Fatalf("compiled total EvalValue = (%v, %v), tree = (%v, %v)\nexpr: %s", cv, cok, tv, tok, e)
 		}
 
@@ -133,23 +147,40 @@ func fuzzSlots(env MapEnv) ([]value.Value, []bool) {
 
 // fuzzEnv derives a partial environment from 16 bits: for each attribute,
 // bit 2i decides known/unknown and bit 2i+1 picks the value family; a
-// trailing mix keeps values varied (null, bool, int).
+// trailing mix keeps values varied (null, bool, int, string, NaN, +Inf).
 func fuzzEnv(bits uint16) MapEnv {
 	env := MapEnv{}
 	for i, name := range fuzzAttrs {
 		if bits>>(2*i)&1 == 0 {
 			continue // unknown
 		}
-		switch (bits >> (2*i + 1) & 1) + uint16(i)%3 {
-		case 0:
+		switch family := (bits >> (2*i + 1) & 1) + uint16(i)%3; {
+		case family == 0:
 			env[name] = value.Null
-		case 1:
+		case family == 1:
 			env[name] = value.Bool(i%2 == 0)
+		case family == 2 && i == 4:
+			env[name] = value.Str("m")
+		case family == 3 && i == 2:
+			env[name] = value.Float(math.NaN())
+		case family == 3 && i == 5:
+			env[name] = value.Float(math.Inf(1))
 		default:
 			env[name] = value.Int(int64(i*7 - 9))
 		}
 	}
 	return env
+}
+
+// sameValue is value.Identical that also equates NaN with NaN: a program
+// and the walker that both produce NaN agree.
+func sameValue(a, b value.Value) bool {
+	af, aok := a.AsFloat()
+	bf, bok := b.AsFloat()
+	if aok && bok && af != af && bf != bf {
+		return true
+	}
+	return value.Identical(a, b)
 }
 
 // treeDecoder builds a bounded expression tree from fuzz bytes. The same
@@ -234,8 +265,16 @@ func (d *treeDecoder) leaf() Expr {
 		return Const{Val: value.Bool(d.next()%2 == 0)}
 	case 2:
 		return Const{Val: value.Str(string(rune('a' + d.next()%26)))}
-	case 3, 4:
+	case 3:
 		return Const{Val: value.Int(int64(d.next()) - 128)}
+	case 4:
+		// Mostly ints; every fifth byte a finite float (NaN and ±Inf do not
+		// survive the print/parse round trip, so they come from fuzzEnv).
+		if b := d.next(); b%5 != 0 {
+			return Const{Val: value.Int(int64(b) - 128)}
+		} else {
+			return Const{Val: value.Float(float64(b)/4 - 0.5)}
+		}
 	default:
 		return Attr{Name: fuzzAttrs[d.next()%byte(len(fuzzAttrs))]}
 	}

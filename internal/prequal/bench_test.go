@@ -9,19 +9,15 @@ import (
 	"repro/internal/value"
 )
 
-// benchPropagation drives complete instances of the Table 1 default
-// 64-node pattern through the prequalifier alone — Reset, then repeatedly
-// launch and complete every candidate until the pool drains — isolating
-// propagation cost from scheduling and the backend. fullSweep selects the
-// pre-compilation baseline (tree-walked conditions, per-edge condition
-// re-evaluation, eager backward propagation after every completion)
-// against the compiled incremental path; both produce identical snapshots.
-func benchPropagation(b *testing.B, fullSweep bool) {
+// BenchmarkPrequalIncremental drives complete instances of the Table 1
+// default 64-node pattern through the prequalifier alone — Reset, then
+// repeatedly launch and complete every candidate until the pool drains —
+// isolating propagation cost from scheduling and the backend.
+func BenchmarkPrequalIncremental(b *testing.B) {
 	g := gen.Generate(gen.Default())
 	sources := g.SourceValues()
 	sn := snapshot.New(g.Schema, sources)
 	p := New(sn, Options{Propagate: true, Speculative: true})
-	p.fullSweep = fullSweep
 	var cands []core.AttrID
 	completions := 0
 	b.ReportAllocs()
@@ -43,14 +39,3 @@ func benchPropagation(b *testing.B, fullSweep bool) {
 	}
 	b.ReportMetric(float64(completions)/b.Elapsed().Seconds(), "completions/s")
 }
-
-// BenchmarkPrequalIncremental measures the compiled incremental
-// prequalifier: flat condition programs over dense slots, bitset-dirtied
-// re-evaluation, backward propagation deferred to pool reads.
-func BenchmarkPrequalIncremental(b *testing.B) { benchPropagation(b, false) }
-
-// BenchmarkPrequalFullSweep measures the pre-compilation baseline for
-// comparison: tree-walking Eval3 over the string-keyed snapshot env, one
-// re-evaluation per enabling edge, eager needed recomputation per
-// completion.
-func BenchmarkPrequalFullSweep(b *testing.B) { benchPropagation(b, true) }

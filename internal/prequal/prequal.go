@@ -30,10 +30,14 @@
 // dirties exactly the attributes whose dependency bitsets contain it
 // (core.EnablingDependentsSet); each dirtied condition re-executes once per
 // propagation round however many of its inputs stabilized. Backward
-// propagation is deferred: completions only mark the needed set dirty, and
-// it is recomputed at most once per candidate-pool read. The tree-walking
-// evaluator remains the reference semantics and the fallback for
-// conditions the compiler cannot handle.
+// propagation is incremental too: within one instance the needed set only
+// ever shrinks (stability and decided conditions are monotone), so each
+// attribute carries a count of what still supports it,
+// the events that withdraw support decrement it, and a count reaching zero
+// cascades upstream — O(edges) per instance in total. The candidate pool is
+// a bitset updated at the same events, so reading it costs its size. The
+// tree-walking evaluator remains the reference semantics and the fallback
+// for conditions the compiler cannot handle.
 package prequal
 
 import (
@@ -89,27 +93,29 @@ type Prequalifier struct {
 	// EnablingDependentsSet bitsets of everything that stabilized. An
 	// attribute dirtied by several completions re-executes its program once.
 	dirty core.AttrSet
-	// needed[a] reports whether a's value may still be required to complete
-	// the instance; recomputed by backward propagation. Without the 'P'
-	// option every attribute is considered needed.
-	needed []bool
-	// neededDirty defers backward propagation: completions set it, and the
-	// needed set is recomputed at most once per candidate-pool read instead
-	// of after every completion.
-	neededDirty bool
+	// needed holds the attributes whose value may still be required to
+	// complete the instance (backward propagation). It starts as the
+	// schema's InitialNeeded and only shrinks. Unused without the 'P' option,
+	// where every attribute counts as needed.
+	//
+	// Invariant, restored before every return to the caller: b is needed iff
+	// it is unstable and support[b] > 0, where support[b] is 1 if b is a
+	// target, plus the needed data dependents of b, plus the enabling
+	// dependents c of b with holdsCond[c] — c needed and its condition
+	// undecided. (A data dependent that went COMPUTED will not execute
+	// again, but it was READY first, so its data inputs are all stable and
+	// past needing.)
+	needed    core.AttrSet
+	holdsCond core.AttrSet
+	support   []int32
+	// pool is the candidate pool: unlaunched, needed, non-source attributes
+	// that are READY+ENABLED (or READY, under 'S').
+	pool core.AttrSet
 	// launched[a] marks attributes whose task the engine has started (or
 	// executed); they are no longer candidates.
 	launched []bool
 	// queue is the forward worklist of newly stabilized attributes.
 	queue []core.AttrID
-
-	// fullSweep disables compiled programs, dirty-set deduplication and
-	// deferred backward propagation, restoring the pre-compilation behavior
-	// (tree-walked conditions, per-edge re-evaluation, eager needed
-	// recomputation). It exists so benchmarks can measure the compiled
-	// incremental path against the full-sweep baseline; results are
-	// identical either way.
-	fullSweep bool
 }
 
 // New creates a prequalifier over the given snapshot and runs the initial
@@ -133,27 +139,43 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 	if cap(p.cond) < n {
 		p.cond = make([]expr.Truth, n)
 		p.unstableIn = make([]int, n)
-		p.needed = make([]bool, n)
+		p.support = make([]int32, n)
 		p.launched = make([]bool, n)
 	} else {
 		p.cond = p.cond[:n]
 		p.unstableIn = p.unstableIn[:n]
-		p.needed = p.needed[:n]
+		p.support = p.support[:n]
 		p.launched = p.launched[:n]
 		clear(p.cond)
 		clear(p.unstableIn)
-		clear(p.needed)
 		clear(p.launched)
 	}
 	words := (n + 63) / 64
 	if cap(p.stable) < words {
 		p.stable = core.NewAttrSet(n)
 		p.dirty = core.NewAttrSet(n)
+		p.pool = core.NewAttrSet(n)
+		p.needed = core.NewAttrSet(n)
+		p.holdsCond = core.NewAttrSet(n)
 	} else {
 		p.stable = p.stable[:words]
 		p.dirty = p.dirty[:words]
+		p.pool = p.pool[:words]
+		p.needed = p.needed[:words]
+		p.holdsCond = p.holdsCond[:words]
 		p.stable.Clear()
 		p.dirty.Clear()
+		p.pool.Clear()
+	}
+	if opts.Propagate {
+		// No non-source condition is decided yet, so every initially needed
+		// attribute holds its enabling inputs.
+		copy(p.needed, s.InitialNeeded())
+		copy(p.holdsCond, s.InitialNeeded())
+		copy(p.support, s.InitialSupport())
+	} else {
+		p.needed.Clear()
+		p.holdsCond.Clear()
 	}
 	p.queue = p.queue[:0]
 	for i := 0; i < n; i++ {
@@ -161,6 +183,7 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 		p.cond[i] = expr.Unknown
 		if p.known[i] {
 			p.stable.Add(id) // sources, plus any pre-stabilized attribute
+			p.unneed(id)
 		}
 		a := s.Attr(id)
 		if a.IsSource() {
@@ -186,10 +209,6 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 		p.tryReady(id)
 	}
 	p.drain()
-	p.neededDirty = true
-	if p.fullSweep {
-		p.ensureNeeded()
-	}
 }
 
 // Snapshot returns the snapshot the prequalifier operates on.
@@ -205,13 +224,15 @@ func (p *Prequalifier) CondTruth(id core.AttrID) expr.Truth { return p.cond[id] 
 // Needed reports whether the attribute is currently considered needed for
 // successful completion. With the 'N' option this is always true.
 func (p *Prequalifier) Needed(id core.AttrID) bool {
-	p.ensureNeeded()
-	return p.needed[id]
+	return !p.opts.Propagate || p.needed.Has(id)
 }
 
 // MarkLaunched records that the engine has started (or completed) the
 // attribute's task, removing it from the candidate pool.
-func (p *Prequalifier) MarkLaunched(id core.AttrID) { p.launched[id] = true }
+func (p *Prequalifier) MarkLaunched(id core.AttrID) {
+	p.launched[id] = true
+	p.pool.Remove(id)
+}
 
 // Launched reports whether MarkLaunched was called for the attribute.
 func (p *Prequalifier) Launched(id core.AttrID) bool { return p.launched[id] }
@@ -239,20 +260,13 @@ func (p *Prequalifier) NoteResult(id core.AttrID, v value.Value) {
 		}
 		// Not stable yet; nothing to propagate. If the condition later
 		// resolves true the cached value stabilizes via tryDecide.
+		p.pool.Remove(id)
 	case snapshot.Disabled:
 		// Discard. Already propagated when it was disabled.
 	default:
 		panic("prequal: NoteResult in unexpected state " + p.sn.State(id).String())
 	}
-	// Any completion can change the needed set (a speculative COMPUTED
-	// value, for example, means the task will never execute again, so its
-	// data inputs may no longer be needed). Recomputation is deferred to
-	// the next candidate-pool read.
-	p.neededDirty = true
 	p.drain()
-	if p.fullSweep {
-		p.ensureNeeded()
-	}
 }
 
 // Candidates returns the current candidate pool in ascending ID order:
@@ -266,42 +280,36 @@ func (p *Prequalifier) Candidates() []core.AttrID {
 // ID order) and returns the extended slice — the allocation-free variant
 // of Candidates for callers that reuse a scratch buffer.
 func (p *Prequalifier) AppendCandidates(dst []core.AttrID) []core.AttrID {
-	p.ensureNeeded()
-	for i := 0; i < p.s.NumAttrs(); i++ {
-		id := core.AttrID(i)
-		if p.eligible(id) {
-			dst = append(dst, id)
+	for wi, w := range p.pool {
+		for w != 0 {
+			dst = append(dst, core.AttrID(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
 	return dst
 }
 
-// eligible reports pool membership for one attribute. Callers must have
-// refreshed the needed set via ensureNeeded.
-func (p *Prequalifier) eligible(id core.AttrID) bool {
-	if p.launched[id] || p.s.Attr(id).IsSource() {
-		return false
+// FirstCandidateIn returns the lowest-ID member of the candidate pool that
+// is also in set — how the engine takes its next inline synthesis task
+// without materializing the pool.
+func (p *Prequalifier) FirstCandidateIn(set core.AttrSet) (core.AttrID, bool) {
+	for wi, w := range p.pool {
+		if w &= set[wi]; w != 0 {
+			return core.AttrID(wi<<6 + bits.TrailingZeros64(w)), true
+		}
 	}
-	if p.opts.Propagate && !p.needed[id] {
-		return false
-	}
-	switch p.sn.State(id) {
-	case snapshot.ReadyEnabled:
-		return true
-	case snapshot.Ready:
-		return p.opts.Speculative
-	default:
-		return false
-	}
+	return 0, false
 }
 
 // --- propagation internals ---
 
 // enqueue records that id just stabilized: it joins the forward worklist
-// and the stable bitset.
+// and the stable bitset, and leaves the pool and the needed set.
 func (p *Prequalifier) enqueue(id core.AttrID) {
 	p.stable.Add(id)
 	p.queue = append(p.queue, id)
+	p.pool.Remove(id)
+	p.unneed(id)
 }
 
 // drain runs the forward propagation to a fixpoint. Each round first
@@ -321,13 +329,7 @@ func (p *Prequalifier) drain() {
 				p.unstableIn[b]--
 				p.tryReady(b)
 			}
-			if p.fullSweep {
-				for _, b := range p.s.EnablingDependents(id) {
-					p.tryDecide(b)
-				}
-			} else {
-				p.dirty.Or(p.s.EnablingDependentsSet(id))
-			}
+			p.dirty.Or(p.s.EnablingDependentsSet(id))
 		}
 		p.queue = p.queue[:0]
 		// Decide the dirtied conditions. tryDecide may enqueue (newly
@@ -349,7 +351,7 @@ func (p *Prequalifier) drain() {
 }
 
 // tryReady promotes b to READY/READY+ENABLED when all data inputs are
-// stable.
+// stable, admitting it to the pool when the options allow.
 func (p *Prequalifier) tryReady(b core.AttrID) {
 	if p.unstableIn[b] > 0 || p.known[b] {
 		return
@@ -363,10 +365,23 @@ func (p *Prequalifier) tryReady(b core.AttrID) {
 		if st != snapshot.ReadyEnabled {
 			p.sn.MustTransition(b, snapshot.ReadyEnabled)
 		}
+		p.admit(b)
 	default:
 		if st != snapshot.Ready {
 			p.sn.MustTransition(b, snapshot.Ready)
 		}
+		if p.opts.Speculative {
+			p.admit(b)
+		}
+	}
+}
+
+// admit adds b, which the caller has found in an eligible state, to the
+// pool unless it is launched or unneeded. Needed only shrinks, so a later
+// withdrawal removes it again and a refusal here is final.
+func (p *Prequalifier) admit(b core.AttrID) {
+	if !p.launched[b] && p.Needed(b) {
+		p.pool.Add(b)
 	}
 }
 
@@ -384,7 +399,7 @@ func (p *Prequalifier) tryDecide(b core.AttrID) {
 		return
 	}
 	var t expr.Truth
-	if prog := p.s.CondProgram(b); prog != nil && !p.fullSweep {
+	if prog := p.s.CondProgram(b); prog != nil {
 		t = prog.Eval3(&p.mach, p.vals, p.known)
 	} else {
 		t = expr.Eval3(p.s.Attr(b).Enabling, p.sn.Env())
@@ -400,7 +415,8 @@ func (p *Prequalifier) tryDecide(b core.AttrID) {
 		p.enqueue(b)
 		return
 	}
-	// Condition true.
+	// Condition true: its inputs have served their purpose for b.
+	p.dropCond(b)
 	switch p.sn.State(b) {
 	case snapshot.Computed:
 		// A speculative value was waiting on this decision: it is final.
@@ -408,72 +424,43 @@ func (p *Prequalifier) tryDecide(b core.AttrID) {
 		p.enqueue(b)
 	case snapshot.Ready:
 		p.sn.MustTransition(b, snapshot.ReadyEnabled)
+		p.admit(b)
 	case snapshot.Uninitialized:
 		p.sn.MustTransition(b, snapshot.Enabled)
 	}
 }
 
-// ensureNeeded recomputes the needed set if it is stale. Deferring the
-// recomputation to pool reads means a burst of completions between two
-// Advance calls pays for one backward sweep, not one per completion.
-func (p *Prequalifier) ensureNeeded() {
-	if !p.neededDirty {
+// unneed removes b from the needed set — it stabilized, or the last thing
+// supporting it went away — and withdraws the support b itself gave.
+func (p *Prequalifier) unneed(b core.AttrID) {
+	if !p.needed.Has(b) {
 		return
 	}
-	p.neededDirty = false
-	p.recomputeNeeded()
+	p.needed.Remove(b)
+	p.pool.Remove(b)
+	for _, in := range p.s.DataInputs(b) {
+		p.release(in)
+	}
+	p.dropCond(b)
 }
 
-// recomputeNeeded performs backward propagation: in reverse topological
-// order, an unstable attribute is needed iff it is an undisabled target, or
-// it feeds (as data input) a needed attribute that may still execute its
-// task, or it occurs in the undecided condition of a needed attribute.
-//
-// Without the 'P' option, everything is marked needed.
-func (p *Prequalifier) recomputeNeeded() {
-	if !p.opts.Propagate {
-		for i := range p.needed {
-			p.needed[i] = true
-		}
+// dropCond ends b's hold on the attributes its condition reads: b is no
+// longer needed, or the condition is decided.
+func (p *Prequalifier) dropCond(b core.AttrID) {
+	if !p.holdsCond.Has(b) {
 		return
 	}
-	for i := range p.needed {
-		p.needed[i] = false
-	}
-	topo := p.s.TopoOrder()
-	for i := len(topo) - 1; i >= 0; i-- {
-		b := topo[i]
-		if p.known[b] {
-			continue // stable attributes require no further work
-		}
-		need := p.s.Attr(b).IsTarget
-		if !need {
-			for _, c := range p.s.DataDependents(b) {
-				if p.needed[c] && p.mayExecute(c) {
-					need = true
-					break
-				}
-			}
-		}
-		if !need {
-			for _, c := range p.s.EnablingDependents(b) {
-				if p.needed[c] && p.cond[c] == expr.Unknown && !p.known[c] {
-					need = true
-					break
-				}
-			}
-		}
-		p.needed[b] = need
+	p.holdsCond.Remove(b)
+	for _, in := range p.s.EnablingInputs(b) {
+		p.release(in)
 	}
 }
 
-// mayExecute reports whether c's task may still run (so its data inputs
-// must stabilize): true unless c already has a value or is disabled.
-func (p *Prequalifier) mayExecute(c core.AttrID) bool {
-	switch p.sn.State(c) {
-	case snapshot.Computed, snapshot.Value, snapshot.Disabled:
-		return false
-	default:
-		return true
+// release takes one unit of support from in, cascading upstream when it was
+// the last. Every edge is released at most once per instance.
+func (p *Prequalifier) release(in core.AttrID) {
+	p.support[in]--
+	if p.support[in] == 0 {
+		p.unneed(in)
 	}
 }

@@ -171,11 +171,11 @@ type dispatcher struct {
 	routedBatch RoutedBatch
 	fallible    Fallible
 	batchExec   BatchExec
-	// tokens is the service's global admission channel. The dispatcher
-	// owns admission at unique-backend-query granularity: one token per
+	// adm is the service's global admission bound. The dispatcher owns
+	// admission at unique-backend-query granularity: one permit per
 	// flight, held from enqueue to completion. Deduplicated and cached
 	// launches never touch it — they put no task on the database.
-	tokens chan struct{}
+	adm    *admission
 	seq    atomic.Uint64 // spreads unkeyed flights over routed shards
 	shards []qshard
 
@@ -207,7 +207,7 @@ type qshard struct {
 	cache    lru
 }
 
-func newDispatcher(backend Backend, tokens chan struct{}, cfg QueryConfig) *dispatcher {
+func newDispatcher(backend Backend, adm *admission, cfg QueryConfig) *dispatcher {
 	if cfg.BatchSize > 1 && cfg.BatchWindow <= 0 {
 		cfg.BatchWindow = 200 * time.Microsecond
 	}
@@ -217,7 +217,7 @@ func newDispatcher(backend Backend, tokens chan struct{}, cfg QueryConfig) *disp
 	d := &dispatcher{
 		backend: backend,
 		cfg:     cfg,
-		tokens:  tokens,
+		adm:     adm,
 		shards:  make([]qshard, cfg.CacheShards),
 	}
 	d.routed, _ = backend.(Routed)
@@ -334,10 +334,10 @@ func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(
 }
 
 // enqueue hands one unique query to the batcher (or straight to the
-// backend when batching is off). It acquires the query's admission token,
+// backend when batching is off). It acquires the query's admission permit,
 // blocking under overload.
 func (d *dispatcher) enqueue(f *flight) {
-	d.tokens <- struct{}{}
+	d.adm.acquire()
 	d.backendQueries.Add(1)
 	if d.cfg.BatchSize <= 1 {
 		d.batches.Add(1)
@@ -454,7 +454,7 @@ func (d *dispatcher) flush(batch []*flight) {
 // fate with all deduplicated waiters — standard single-flight semantics —
 // and is never cached, so the next identical launch retries the backend.
 func (d *dispatcher) complete(f *flight, err error) {
-	<-d.tokens // release backend admission first so capacity refills
+	d.adm.release() // release backend admission first so capacity refills
 	var dones []func(error)
 	if f.keyed {
 		// f.dones of a keyed flight is only readable under the shard lock:

@@ -100,7 +100,7 @@ type Config struct {
 type Service struct {
 	cfg     Config
 	runq    runQueue
-	tokens  chan struct{}
+	adm     *admission // global bound on database tasks in flight
 	pool    sync.Pool
 	shards  []shard
 	disp    *dispatcher    // shared query layer; nil when Config.Query is off
@@ -144,7 +144,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:    cfg,
-		tokens: make(chan struct{}, cfg.MaxInFlightTasks),
+		adm:    newAdmission(cfg.MaxInFlightTasks),
 		shards: make([]shard, cfg.Workers),
 	}
 	for i := range s.shards {
@@ -154,7 +154,7 @@ func New(cfg Config) *Service {
 	s.routed, _ = cfg.Backend.(Routed)
 	s.fallible, _ = cfg.Backend.(Fallible)
 	if cfg.Query.enabled() {
-		s.disp = newDispatcher(cfg.Backend, s.tokens, cfg.Query)
+		s.disp = newDispatcher(cfg.Backend, s.adm, cfg.Query)
 	}
 	s.runq.cond.L = &s.runq.mu
 	s.pool.New = func() any { return &inst{svc: s} }
@@ -338,18 +338,18 @@ func (s *Service) worker(sh *shard) {
 	}
 }
 
-// taskDone is the backend completion path: release the admission token and
+// taskDone is the backend completion path: release the admission permit and
 // post the completion to the instance. It must stay cheap and non-blocking
 // — it runs on backend goroutines (timers, pacers) and never waits on the
 // instance's owner. A non-nil err means the query terminally failed (every
 // cluster retry exhausted): the task completes as failed, delivering ⟂.
 func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
-	<-s.tokens
+	s.adm.release()
 	s.taskDoneShared(in, id, err)
 }
 
 // taskDoneShared is the completion path for launches routed through the
-// query layer: admission tokens there belong to unique backend queries
+// query layer: admission permits there belong to unique backend queries
 // (acquired and released by the dispatcher), not to per-instance launches
 // — a deduplicated or cached launch puts no new task on the database, so
 // it must not consume database admission. This only delivers.
@@ -538,14 +538,14 @@ func (in *inst) drive(sh *shard) (retire bool) {
 // layer when configured. It may block on admission under overload, which
 // stalls only this owner: completion delivery never waits on it (see
 // Backend docs). Admission control differs by path: the direct path
-// acquires a token per launch, the query layer per unique backend query
+// acquires a permit per launch, the query layer per unique backend query
 // (deduplicated and cached launches hit no database, so they bypass
 // admission).
 func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 	d := in.svc.disp
 	if d == nil {
 		svc := in.svc
-		svc.tokens <- struct{}{} // global admission; blocks under overload
+		svc.adm.acquire() // global admission; blocks under overload
 		switch {
 		case svc.routed != nil:
 			// Sharded backend: place by sharing identity so the same

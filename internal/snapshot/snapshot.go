@@ -129,11 +129,15 @@ func Allowed(a, b State) bool {
 // Snapshot is not safe for concurrent mutation; the engine serializes
 // updates per instance.
 type Snapshot struct {
-	schema   *core.Schema
-	states   []State
-	vals     []value.Value
-	known    []bool // known[a] = states[a].Stable(), the dense slot mask
-	observer Observer
+	schema *core.Schema
+	states []State
+	vals   []value.Value
+	known  []bool // known[a] = states[a].Stable(), the dense slot mask
+	// unstableTargets counts the targets not yet stable; Terminal is its
+	// zero test. Sources cannot be targets, so a fresh instance starts with
+	// every target counted.
+	unstableTargets int
+	observer        Observer
 
 	// env and inputs cache the interface boxes handed out by Env and
 	// Inputs; both views are stateless beyond the snapshot pointer, so
@@ -196,6 +200,7 @@ func (sn *Snapshot) reset(s *core.Schema) {
 	n := s.NumAttrs()
 	sn.schema = s
 	sn.observer = nil
+	sn.unstableTargets = len(s.Targets())
 	if cap(sn.states) < n {
 		sn.states = make([]State, n)
 		sn.vals = make([]value.Value, n)
@@ -236,8 +241,11 @@ func (sn *Snapshot) Transition(id core.AttrID, to State) error {
 		sn.vals[id] = value.Null // a disabled attribute's value is ⟂
 	}
 	sn.states[id] = to
-	if to.Stable() {
+	if to.Stable() && !sn.known[id] {
 		sn.known[id] = true // stability is monotone: never reset
+		if sn.schema.Attr(id).IsTarget {
+			sn.unstableTargets--
+		}
 	}
 	if sn.observer != nil && from != to {
 		sn.observer(id, from, to)
@@ -275,14 +283,7 @@ func (sn *Snapshot) MustTransition(id core.AttrID, to State) {
 
 // Terminal reports whether every target attribute is stable — the paper's
 // terminal-snapshot condition for successful completion.
-func (sn *Snapshot) Terminal() bool {
-	for _, id := range sn.schema.Targets() {
-		if !sn.states[id].Stable() {
-			return false
-		}
-	}
-	return true
-}
+func (sn *Snapshot) Terminal() bool { return sn.unstableTargets == 0 }
 
 // Env exposes the snapshot as an expression environment: an attribute is
 // known iff it is stable (sources are stable from the start). COMPUTED
@@ -343,13 +344,13 @@ func (in snapInputs) Get(name string) value.Value {
 
 // Clone returns an independent copy of the snapshot.
 func (sn *Snapshot) Clone() *Snapshot {
-	cp := &Snapshot{
-		schema: sn.schema,
-		states: append([]State(nil), sn.states...),
-		vals:   append([]value.Value(nil), sn.vals...),
-		known:  append([]bool(nil), sn.known...),
+	return &Snapshot{
+		schema:          sn.schema,
+		states:          append([]State(nil), sn.states...),
+		vals:            append([]value.Value(nil), sn.vals...),
+		known:           append([]bool(nil), sn.known...),
+		unstableTargets: sn.unstableTargets,
 	}
-	return cp
 }
 
 // String renders the snapshot for debugging: one "name=state(value)" per

@@ -113,7 +113,16 @@ func (v Value) AsInt() (i int64, ok bool) { return v.i, v.kind == KindInt }
 
 // AsFloat returns the numeric content of v as a float64. Both int and float
 // kinds succeed; ok is false otherwise.
-func (v Value) AsFloat() (f float64, ok bool) {
+func (v Value) AsFloat() (f float64, ok bool) { return NumericAt(&v) }
+
+// NullAt and NumericAt are IsNull and AsFloat for a value read where it
+// lies: through the pointer they load the kind byte and the number only,
+// where the methods (value receivers on a 64-byte struct) copy the whole
+// value first. Compiled condition programs compare slots through them.
+func NullAt(v *Value) bool { return v.kind == KindNull }
+
+// NumericAt returns the numeric content of *v as a float64; see NullAt.
+func NumericAt(v *Value) (f float64, ok bool) {
 	switch v.kind {
 	case KindFloat:
 		return v.f, true
