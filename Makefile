@@ -11,7 +11,7 @@ SERVING_BENCH ?= Serve|ServiceThroughput|Replay
 SERVING_ITERS ?= 20000x
 BENCH_TOLERANCE ?= 0.20
 
-.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder profile-serving ci
+.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder bench-pairs profile-serving ci
 
 all: ci
 
@@ -145,6 +145,18 @@ bench-e2e:
 # shows, rung by rung, where its saving landed.
 bench-ladder:
 	$(GO) run -C bench . --trace 1
+
+# The evidence a perf claim needs (ROADMAP, "numbers are only comparable
+# within one machine"): N alternating parent/change pairs of the same
+# benchmark, the working tree against a `git archive` export of PARENT,
+# printed as per-metric medians, quartiles and pair wins. ~1 min per run:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=shared_zipf N=10
+# WORKLOAD empty runs all four; ARGS passes flags to both sides
+# (ARGS='-trace 1' adds the per-layer metrics).
+PARENT ?= HEAD
+N ?= 10
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -parent '$(PARENT)' -workload '$(WORKLOAD)' -n $(N) -args '$(ARGS)'
 
 # Capture CPU/heap pprof profiles of the serving hot path (dfserve closed
 # loop). CI uploads prof/ with the bench output as workflow artifacts, so

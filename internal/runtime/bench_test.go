@@ -1,7 +1,10 @@
 package runtime
 
 import (
+	"math/rand"
 	stdruntime "runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,4 +269,88 @@ func BenchmarkServeCachedInstantCaptureOff(b *testing.B) {
 		},
 		Strategy: engine.MustParseStrategy("PSE100"),
 	})
+}
+
+// flushProbe timestamps every batch the dispatcher hands to the cluster.
+type flushProbe struct {
+	*Cluster
+	mu      sync.Mutex
+	flushes []time.Time
+}
+
+func (p *flushProbe) SubmitRoutedBatch(hashes []uint64, costs []int, each func(i int, err error)) {
+	p.mu.Lock()
+	p.flushes = append(p.flushes, time.Now())
+	p.mu.Unlock()
+	p.Cluster.SubmitRoutedBatch(hashes, costs, each)
+}
+
+// BenchmarkLoneRequestZipf is the in-process probe behind the batching
+// section of DESIGN.md: one request of 64 quickstart instances at a time,
+// on an otherwise idle service configured like the shared_zipf daemon of
+// bench/ (2×2 cluster of 500µs+50µs/unit ±20 % backends, batches of 32
+// with a 200µs window, dedup, 8192-entry cache, Zipf(1.01) over 262144
+// vectors). It reports the request's p50 and how long after the request
+// began its first batch reached the backend — the time a lone request's
+// first-level misses spend waiting for company that cannot come.
+func BenchmarkLoneRequestZipf(b *testing.B) {
+	s, sources := quickstart(b)
+	probe := &flushProbe{Cluster: NewCluster(ClusterConfig{
+		Shards: 2, Replicas: 2, LB: RoundRobin,
+		New: func(shard, rep int) Backend {
+			return &Latency{Base: 500 * time.Microsecond, PerUnit: 50 * time.Microsecond, Jitter: 0.2}
+		},
+	})}
+	svc := New(Config{Backend: probe, Query: QueryConfig{
+		BatchSize: 32, BatchWindow: 200 * time.Microsecond, Dedup: true, CacheSize: 8192,
+	}})
+	defer svc.Close()
+	st := engine.MustParseStrategy("PSE100")
+	order, _ := sources["order_total"].AsInt()
+	customer, _ := sources["customer_id"].AsInt()
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, 262144-1)
+	var lat, first []time.Duration
+	request := func() {
+		var wg sync.WaitGroup
+		wg.Add(64)
+		probe.mu.Lock()
+		probe.flushes = probe.flushes[:0]
+		probe.mu.Unlock()
+		start := time.Now()
+		release := svc.Hold()
+		for i := 0; i < 64; i++ {
+			v := int64(zipf.Uint64())
+			err := svc.Submit(Request{Schema: s, Strategy: st, Done: func(*engine.Result) { wg.Done() },
+				Sources: map[string]value.Value{"order_total": value.Int(order + v), "customer_id": value.Int(customer + v)}})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		release()
+		wg.Wait()
+		lat = append(lat, time.Since(start))
+		probe.mu.Lock()
+		if len(probe.flushes) > 0 {
+			first = append(first, probe.flushes[0].Sub(start))
+		}
+		probe.mu.Unlock()
+	}
+	for i := 0; i < 200; i++ { // warm the cache to its steady hit ratio
+		request()
+	}
+	lat, first = lat[:0], first[:0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
+	b.StopTimer()
+	ms := func(d []time.Duration) float64 {
+		slices.Sort(d)
+		return float64(d[len(d)/2]) / float64(time.Millisecond)
+	}
+	b.ReportMetric(ms(lat), "req-p50-ms")
+	if len(first) > 0 {
+		b.ReportMetric(ms(first), "first-flush-p50-ms")
+	}
+	reportQueryMetrics(b, svc.Stats())
 }

@@ -52,6 +52,11 @@ type Stats struct {
 	DedupHits      uint64 // launches that shared an in-flight query
 	CacheHits      uint64 // launches answered by the attribute cache
 	CacheMisses    uint64 // cache lookups that went to the backend
+	// Why each batch left the batcher — it filled (or batching is off), the
+	// BatchWindow timer fired, or nothing in the process could still add to
+	// it; on a batch-capable backend the three sum to Batches — and how many
+	// unique queries arrived over MaxInFlightTasks and waited for a permit.
+	CutSize, CutWindow, CutQuiescent, AdmissionParked uint64
 
 	// Peer-tier metrics (all zero without an installed peer router). A
 	// launch classified at a remote home counts in PeerForwards instead of
@@ -126,6 +131,10 @@ func (st Stats) String() string {
 		fmt.Fprintf(&b,
 			"\nquery layer: backend=%d batches=%d avg-batch=%.1f dedup-hits=%d cache-hit/miss=%d/%d",
 			st.BackendQueries, st.Batches, st.AvgBatchSize(), st.DedupHits, st.CacheHits, st.CacheMisses)
+	}
+	if st.CutSize+st.CutWindow+st.CutQuiescent+st.AdmissionParked > 0 {
+		fmt.Fprintf(&b, "\nbatch cuts: size=%d window=%d quiescent=%d admission-parked=%d",
+			st.CutSize, st.CutWindow, st.CutQuiescent, st.AdmissionParked)
 	}
 	if st.PeerForwards+st.PeerFallbacks+st.PeerServed > 0 {
 		fmt.Fprintf(&b, "\npeer tier: forwards=%d fallbacks=%d served=%d",
@@ -271,6 +280,8 @@ func (s *Service) Stats() Stats {
 		st.DedupHits = d.dedupHits.Load()
 		st.CacheHits = d.cacheHits.Load()
 		st.CacheMisses = d.cacheMisses.Load()
+		st.CutSize, st.CutWindow, st.CutQuiescent = d.cutSize.Load(), d.cutWindow.Load(), d.cutQuiescent.Load()
+		st.AdmissionParked = d.parked.Load()
 		st.PeerForwards = d.peerForwards.Load()
 		st.PeerFallbacks = d.peerFallbacks.Load()
 		st.PeerServed = d.peerServed.Load()
@@ -413,6 +424,10 @@ func (s *Service) ResetStats() {
 		d.dedupHits.Store(0)
 		d.cacheHits.Store(0)
 		d.cacheMisses.Store(0)
+		d.cutSize.Store(0)
+		d.cutWindow.Store(0)
+		d.cutQuiescent.Store(0)
+		d.parked.Store(0)
 		d.peerForwards.Store(0)
 		d.peerFallbacks.Store(0)
 		d.peerServed.Store(0)

@@ -41,11 +41,14 @@ func TestStatsStringGolden(t *testing.T) {
 				st.DedupHits = 600
 				st.CacheHits = 400
 				st.CacheMisses = 1500
+				st.CutSize, st.CutWindow, st.CutQuiescent = 40, 10, 250
+				st.AdmissionParked = 7
 				return st
 			},
 			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800\n" +
 				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms\n" +
-				"query layer: backend=1500 batches=300 avg-batch=5.0 dedup-hits=600 cache-hit/miss=400/1500",
+				"query layer: backend=1500 batches=300 avg-batch=5.0 dedup-hits=600 cache-hit/miss=400/1500\n" +
+				"batch cuts: size=40 window=10 quiescent=250 admission-parked=7",
 		},
 		{
 			name: "with-cluster",

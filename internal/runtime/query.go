@@ -30,9 +30,11 @@ type QueryConfig struct {
 	// BatchExec execute the batch as a single round trip; others receive
 	// the members individually (same semantics, no amortization).
 	BatchSize int
-	// BatchWindow is the deadline trigger: a partial batch is flushed at
-	// most this long after its first query arrived. Defaults to 200µs when
-	// batching is enabled.
+	// BatchWindow is the deadline trigger: the cap on how long a partial
+	// batch waits for company. It is the fallback — a batch is cut as soon
+	// as nothing in the process can still add to it (dispatcher.busy) — and
+	// it fires late: the Go netpoller rounds a sub-millisecond sleep of an
+	// idle process up to 1ms. Defaults to 200µs when batching is enabled.
 	BatchWindow time.Duration
 	// Dedup enables single-flight deduplication: launches whose sharing
 	// identity matches a query already in flight attach to it and share
@@ -171,33 +173,44 @@ type dispatcher struct {
 	routedBatch RoutedBatch
 	fallible    Fallible
 	batchExec   BatchExec
-	// adm is the service's global admission bound. The dispatcher owns
-	// admission at unique-backend-query granularity: one permit per
-	// flight, held from enqueue to completion. Deduplicated and cached
-	// launches never touch it — they put no task on the database.
-	adm    *admission
-	seq    atomic.Uint64 // spreads unkeyed flights over routed shards
-	shards []qshard
+	seq         atomic.Uint64 // spreads unkeyed flights over routed shards
+	shards      []qshard
 
 	// peer is the optional front-end peer router, consulted before the
 	// local sharing tables so every keyed query is classified at its one
 	// home node in the fleet.
 	peer atomic.Pointer[peerExecBox]
 
-	// batcher state: pending flights and the deadline timer.
+	// bmu guards the batcher and the global admission bound
+	// (Config.MaxInFlightTasks), owned here at unique-query granularity:
+	// held counts flights pending or on the backend, and one over the bound
+	// parks in waiting (FIFO) until a completion admits it — the launching
+	// worker never blocks. Deduplicated and cached launches take no permit.
 	bmu     sync.Mutex
-	pending []*flight
+	limit   int
+	held    int
+	waiting []*flight
+	pending []*flight // the forming batch
 	timer   *time.Timer
+	// busy gauges everything in this process that can still add a query to
+	// pending: instances on the run queue or owned by a worker, plus open
+	// Service.Hold brackets. Whoever takes it to zero cuts the batch; the
+	// timer is the cap for when it never gets there. npending mirrors
+	// len(pending) so going quiet with nothing pending costs no lock.
+	busy, npending atomic.Int64
 
 	// metrics (see Stats).
 	backendQueries atomic.Uint64 // unique flights handed to the backend
 	batches        atomic.Uint64 // backend round trips
+	parked         atomic.Uint64 // flights that waited for a permit
 	dedupHits      atomic.Uint64 // launches attached to an in-flight query
 	cacheHits      atomic.Uint64
 	cacheMisses    atomic.Uint64
 	peerForwards   atomic.Uint64 // launches classified at a remote home
 	peerFallbacks  atomic.Uint64 // forwards re-entered locally (peer down)
 	peerServed     atomic.Uint64 // forwarded-in queries served for peers
+	// batches cut, by cause: full, window expired, nobody left to add to it
+	cutSize, cutWindow, cutQuiescent atomic.Uint64
 }
 
 // qshard is one lock domain of the single-flight table and the cache.
@@ -207,7 +220,7 @@ type qshard struct {
 	cache    lru
 }
 
-func newDispatcher(backend Backend, adm *admission, cfg QueryConfig) *dispatcher {
+func newDispatcher(backend Backend, limit int, cfg QueryConfig) *dispatcher {
 	if cfg.BatchSize > 1 && cfg.BatchWindow <= 0 {
 		cfg.BatchWindow = 200 * time.Microsecond
 	}
@@ -217,7 +230,7 @@ func newDispatcher(backend Backend, adm *admission, cfg QueryConfig) *dispatcher
 	d := &dispatcher{
 		backend: backend,
 		cfg:     cfg,
-		adm:     adm,
+		limit:   limit,
 		shards:  make([]qshard, cfg.CacheShards),
 	}
 	d.routed, _ = backend.(Routed)
@@ -274,7 +287,9 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 					return
 				}
 				d.peerFallbacks.Add(1)
+				d.hold() // the router's goroutine, not the launching owner's
 				d.submitKeyed(key, hash, cost, done)
+				d.release()
 			}) {
 				return
 			}
@@ -333,49 +348,75 @@ func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(
 	d.enqueue(&flight{key: key, keyed: true, hash: hash, cost: cost, dones: []func(error){done}})
 }
 
-// enqueue hands one unique query to the batcher (or straight to the
-// backend when batching is off). It acquires the query's admission permit,
-// blocking under overload.
+// hold and release move the busy gauge — no-ops unless batching is on (a
+// nil dispatcher included), so the direct path pays a nil check. The release
+// that takes it to zero cuts what is pending: nobody is left to add to it.
+func (d *dispatcher) hold() {
+	if d != nil && d.cfg.BatchSize > 1 {
+		d.busy.Add(1)
+	}
+}
+
+func (d *dispatcher) release() {
+	if d != nil && d.cfg.BatchSize > 1 && d.busy.Add(-1) == 0 && d.npending.Load() > 0 {
+		d.cut(&d.cutQuiescent)
+	}
+}
+
+// enqueue hands one unique query to the batcher, or parks it when the
+// admission bound is reached; it never blocks on admission.
 func (d *dispatcher) enqueue(f *flight) {
-	d.adm.acquire()
-	d.backendQueries.Add(1)
-	if d.cfg.BatchSize <= 1 {
-		d.batches.Add(1)
-		d.submitOne(f)
+	d.bmu.Lock()
+	if d.held == d.limit {
+		d.waiting = append(d.waiting, f)
+		d.bmu.Unlock()
+		d.parked.Add(1)
 		return
 	}
-	d.bmu.Lock()
+	batch := d.admit(f)
+	d.bmu.Unlock()
+	d.flush(batch, &d.cutSize)
+}
+
+// admit takes f's permit and adds it to the forming batch, returning the
+// batch if f filled it (always, with batching off). Caller holds bmu.
+func (d *dispatcher) admit(f *flight) []*flight {
+	d.held++
+	d.backendQueries.Add(1)
 	d.pending = append(d.pending, f)
 	if len(d.pending) >= d.cfg.BatchSize {
-		batch := d.pending
-		d.pending = nil
-		if d.timer != nil {
-			d.timer.Stop()
-		}
-		d.bmu.Unlock()
-		d.flush(batch)
-		return
+		return d.take()
 	}
+	d.npending.Store(int64(len(d.pending)))
 	if len(d.pending) == 1 {
 		// First query of a new batch: arm the deadline trigger.
 		if d.timer == nil {
-			d.timer = time.AfterFunc(d.cfg.BatchWindow, d.deadline)
+			d.timer = time.AfterFunc(d.cfg.BatchWindow, func() { d.cut(&d.cutWindow) })
 		} else {
 			d.timer.Reset(d.cfg.BatchWindow)
 		}
 	}
-	d.bmu.Unlock()
+	return nil
 }
 
-// deadline is the batch window expiry: flush whatever accumulated.
-func (d *dispatcher) deadline() {
-	d.bmu.Lock()
+// take empties the forming batch. Caller holds bmu.
+func (d *dispatcher) take() []*flight {
 	batch := d.pending
 	d.pending = nil
-	d.bmu.Unlock()
-	if len(batch) > 0 {
-		d.flush(batch)
+	d.npending.Store(0)
+	if d.timer != nil {
+		d.timer.Stop()
 	}
+	return batch
+}
+
+// cut flushes what accumulated (nothing, if a size trigger raced it): the
+// window expired or the process went quiet.
+func (d *dispatcher) cut(cause *atomic.Uint64) {
+	d.bmu.Lock()
+	batch := d.take()
+	d.bmu.Unlock()
+	d.flush(batch, cause)
 }
 
 // submitOne routes one unbatched flight to the backend, preferring the
@@ -392,11 +433,15 @@ func (d *dispatcher) submitOne(f *flight) {
 	}
 }
 
-// flush submits one cut batch to the backend. Runs on the goroutine that
-// tripped the size trigger or on the deadline timer's goroutine; it may
-// block on backend admission (e.g. Latency.Parallel), which back-pressures
-// later batches without stalling completion delivery.
-func (d *dispatcher) flush(batch []*flight) {
+// flush submits one cut batch to the backend, on the goroutine that cut it:
+// the launcher or completion that filled it, whoever took the busy gauge to
+// zero, or the deadline timer's. It may block on backend admission (e.g.
+// Latency.Parallel), which back-pressures later batches.
+func (d *dispatcher) flush(batch []*flight, cause *atomic.Uint64) {
+	if len(batch) == 0 {
+		return
+	}
+	cause.Add(1)
 	if len(batch) == 1 {
 		d.batches.Add(1)
 		d.submitOne(batch[0])
@@ -454,7 +499,18 @@ func (d *dispatcher) flush(batch []*flight) {
 // fate with all deduplicated waiters — standard single-flight semantics —
 // and is never cached, so the next identical launch retries the backend.
 func (d *dispatcher) complete(f *flight, err error) {
-	d.adm.release() // release backend admission first so capacity refills
+	// Return the permit first: it admits the longest-parked flight. A batch
+	// that fills is flushed only after f's own waiters are delivered —
+	// flush may block (see there), and delivery must never wait on it.
+	d.bmu.Lock()
+	d.held--
+	var batch []*flight
+	if len(d.waiting) > 0 {
+		batch = d.admit(d.waiting[0])
+		d.waiting[0] = nil
+		d.waiting = d.waiting[1:]
+	}
+	d.bmu.Unlock()
 	var dones []func(error)
 	if f.keyed {
 		// f.dones of a keyed flight is only readable under the shard lock:
@@ -475,16 +531,7 @@ func (d *dispatcher) complete(f *flight, err error) {
 	for _, fn := range dones {
 		fn(err)
 	}
-}
-
-// stop cancels the pending deadline timer. Called after the service has
-// drained, when no flights remain.
-func (d *dispatcher) stop() {
-	d.bmu.Lock()
-	if d.timer != nil {
-		d.timer.Stop()
-	}
-	d.bmu.Unlock()
+	d.flush(batch, &d.cutSize)
 }
 
 // --- sharded LRU+TTL cache ---

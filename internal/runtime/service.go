@@ -66,11 +66,12 @@ type Config struct {
 	// Defaults to GOMAXPROCS.
 	Workers int
 	// MaxInFlightTasks bounds the database tasks in flight across all
-	// instances (global admission control): launches beyond the bound
-	// wait for completions. With the query layer enabled the bound
-	// applies to unique backend queries — deduplicated and cached
-	// launches put no task on the database and consume no admission.
-	// Defaults to 16× Workers.
+	// instances (global admission control). On the direct path a launch
+	// beyond the bound blocks its worker until a completion. With the
+	// query layer enabled the bound applies to unique backend queries —
+	// deduplicated and cached launches put no task on the database and
+	// consume no admission — and a query beyond it parks in the
+	// dispatcher while the worker goes on. Defaults to 16× Workers.
 	MaxInFlightTasks int
 	// Query configures the shared query layer between instances and the
 	// Backend: cross-instance batching, single-flight deduplication of
@@ -100,10 +101,11 @@ type Config struct {
 type Service struct {
 	cfg     Config
 	runq    runQueue
-	adm     *admission // global bound on database tasks in flight
+	adm     *admission // global bound on database tasks in flight (direct path)
 	pool    sync.Pool
 	shards  []shard
 	disp    *dispatcher    // shared query layer; nil when Config.Query is off
+	unhold  func()         // disp.release, bound once for Hold (nil-safe)
 	active  sync.WaitGroup // one count per unretired instance
 	workers sync.WaitGroup
 
@@ -154,8 +156,9 @@ func New(cfg Config) *Service {
 	s.routed, _ = cfg.Backend.(Routed)
 	s.fallible, _ = cfg.Backend.(Fallible)
 	if cfg.Query.enabled() {
-		s.disp = newDispatcher(cfg.Backend, s.adm, cfg.Query)
+		s.disp = newDispatcher(cfg.Backend, cfg.MaxInFlightTasks, cfg.Query)
 	}
+	s.unhold = s.disp.release
 	s.runq.cond.L = &s.runq.mu
 	s.pool.New = func() any { return &inst{svc: s} }
 	s.workers.Add(cfg.Workers)
@@ -216,6 +219,15 @@ func (s *Service) submit(req Request) (*inst, uint64, error) {
 	s.active.Add(1)
 	in.post(msg{kind: msgBegin})
 	return in, gen, nil
+}
+
+// Hold brackets a caller about to Submit a group of instances: until the
+// returned release is called (once, after the last Submit) the query layer
+// does not cut a partial batch for lack of producers, so the group's queries
+// leave together, not as each instance goes idle. A no-op without batching.
+func (s *Service) Hold() (release func()) {
+	s.disp.hold()
+	return s.unhold
 }
 
 // Do executes one instance synchronously and returns an independent result
@@ -283,8 +295,9 @@ func (s *Service) InstallPeerRouter(p PeerExec) error {
 // peer-router consult (the forwarder already resolved this node as the
 // home, so forwards cannot loop). done is invoked exactly once with the
 // backend verdict; the forwarder's waiters share this node's fate. The
-// call may block on backend admission — callers run it off any latency-
-// sensitive loop.
+// call never waits for an admission permit, but it may flush a batch (the
+// one it fills, or its own on an idle node) and so block on the backend's
+// own bound (e.g. Latency.Parallel): run it off any latency-sensitive loop.
 func (s *Service) ServePeerQuery(schema *core.Schema, id core.AttrID, args []byte, cost int, done func(error)) error {
 	d := s.disp
 	if d == nil || (!d.cfg.Dedup && d.cfg.CacheSize == 0) {
@@ -299,10 +312,12 @@ func (s *Service) ServePeerQuery(schema *core.Schema, id core.AttrID, args []byt
 	s.closeMu.RUnlock()
 	d.peerServed.Add(1)
 	key := queryKey{schema: schema, id: id, args: string(args)}
+	d.hold()
 	d.submitKeyed(key, hashKey(key), cost, func(err error) {
 		done(err)
 		s.active.Done()
 	})
+	d.release()
 	return nil
 }
 
@@ -320,9 +335,6 @@ func (s *Service) Close() {
 	s.active.Wait()
 	s.runq.close()
 	s.workers.Wait()
-	if s.disp != nil {
-		s.disp.stop()
-	}
 }
 
 // worker runs instances: it pops a runnable instance, owns it until its
@@ -430,6 +442,7 @@ func (in *inst) post(m msg) {
 	in.scheduled = true
 	in.mbMu.Unlock()
 	if idle {
+		in.svc.disp.hold() // until the owner goes idle (run) or retires
 		in.svc.scheduled.Add(1)
 		in.svc.runq.push(in)
 	}
@@ -455,6 +468,7 @@ func (in *inst) run(sh *shard) {
 		if len(in.mbox) == 0 {
 			in.scheduled = false
 			in.mbMu.Unlock()
+			in.svc.disp.release()
 			return
 		}
 		batch := in.mbox
@@ -535,12 +549,13 @@ func (in *inst) drive(sh *shard) (retire bool) {
 }
 
 // launch routes one booked task to the backend — through the shared query
-// layer when configured. It may block on admission under overload, which
+// layer when configured. Admission control differs by path. The direct path
+// acquires a permit per launch and may block on it under overload, which
 // stalls only this owner: completion delivery never waits on it (see
-// Backend docs). Admission control differs by path: the direct path
-// acquires a permit per launch, the query layer per unique backend query
+// Backend docs). The query layer takes one per unique backend query
 // (deduplicated and cached launches hit no database, so they bypass
-// admission).
+// admission) and never blocks the owner: a query over the bound parks in
+// the dispatcher and the instance awaits its completion like any other.
 func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 	d := in.svc.disp
 	if d == nil {
@@ -624,6 +639,7 @@ func (in *inst) retire() {
 	in.mbMu.Unlock()
 	svc := in.svc
 	svc.pool.Put(in)
+	svc.disp.release()
 	svc.active.Done()
 }
 

@@ -628,6 +628,7 @@ func (c *binConn) handleEvalBatch(reqID uint64, cur *api.Cursor) bool {
 	bc := &batchCtx{c: c, t: t, reqID: reqID, bodies: make([][]byte, n), slots: slots}
 	bc.left.Store(int64(n))
 	c.evals.Add(n)
+	release := s.svc.Hold() // the batch's queries leave together, not per idle instance
 	for i := 0; i < n; i++ {
 		i := i
 		shc := s.shadowSample(entry, c.tenantName, bd.st, nil, slots[i].v)
@@ -653,6 +654,7 @@ func (c *binConn) handleEvalBatch(reqID uint64, cur *api.Cursor) bool {
 			bc.finish(i, b)
 		}
 	}
+	release()
 	return true
 }
 
@@ -806,7 +808,9 @@ func (c *binConn) handleForward(reqID uint64, cur *api.Cursor) bool {
 		s.evals.Done()
 		c.evals.Done()
 	}
-	// ServePeerQuery can block on backend token admission; a dedicated
+	// ServePeerQuery never waits for admission (a query over the bound
+	// parks in the dispatcher), but it can flush the batch it completes and
+	// so block on the backend's own bound (Latency.Parallel); a dedicated
 	// goroutine keeps the read loop serving other frames meanwhile.
 	go func() {
 		err := s.svc.ServePeerQuery(entry.schema, core.AttrID(attr), argsCopy, int(cost), done)

@@ -1183,6 +1183,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]api.EvalResult, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
+	release := s.svc.Hold()
 	for i, src := range srcs {
 		i := i
 		shc := s.shadowSample(entry, tenantName, st, src, nil)
@@ -1204,6 +1205,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			wg.Done()
 		}
 	}
+	release()
 	wg.Wait()
 	t.release(n)
 	s.evals.Add(-n)
@@ -1215,6 +1217,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, srcs []map[string]value.Value) {
 	n := len(srcs)
 	items := make(chan api.BatchItem, n)
+	release := s.svc.Hold()
 	for i, src := range srcs {
 		i := i
 		shc := s.shadowSample(entry, tenantName, st, src, nil)
@@ -1234,6 +1237,7 @@ func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, 
 			items <- api.BatchItem{Index: i, EvalResult: api.EvalResult{Error: err.Error()}}
 		}
 	}
+	release()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
