@@ -50,16 +50,23 @@ bench:
 # Short fuzzing passes: the three-valued expression evaluator (random
 # trees + partial environments vs an independent reference evaluator),
 # the dfbin wire codec (JSON/binary differential round trip, plus
-# truncated/corrupt frames asserting clean errors, never panics), and
-# the registry WAL record codec and the eval-capture record codec (decode
+# truncated/corrupt frames asserting clean errors, never panics), the
+# registry WAL record codec and the eval-capture record codec (decode
 # never panics, every failure is classified torn-vs-corrupt, every
-# success re-encodes identically).
+# success re-encodes identically), and the eval path's JSON codec with
+# encoding/json as its oracle: request decode and response decode agree
+# with it on accept/reject and on every value for arbitrary bytes, request
+# encode and result encode are byte-identical to json.Marshal.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrameDecode$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzWALRecordDecode$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzCaptureRecordDecode$$' -fuzztime=5s ./internal/api
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequestDecode$$' -fuzztime=5s ./internal/api
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequestEncode$$' -fuzztime=5s ./internal/api
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchResponseDecode$$' -fuzztime=5s ./internal/api
+	$(GO) test -run='^$$' -fuzz='^FuzzEvalResultEncode$$' -fuzztime=5s ./internal/server
 
 # Deterministic chaos suite: kill/stall/degrade cluster replicas mid-run
 # and assert the oracle invariant, work conservation, and launch-exact

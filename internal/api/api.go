@@ -6,9 +6,37 @@
 // definition.
 //
 // Values map to native JSON: ⟂ ↔ null, bool ↔ bool, int/float ↔ number,
-// string ↔ string, list ↔ array. Numbers decode through json.Number:
-// integral literals come back as Int values, everything else as Float —
-// matching how schema sources are typically declared.
+// string ↔ string, list ↔ array. An integral number literal that fits an
+// int64 decodes as an Int value, any other number as a Float (1.0 and 1e2
+// are Floats), one float64 cannot hold is refused — matching how schema
+// sources are typically declared.
+//
+// The eval path — POST /v1/eval, POST /v1/eval/batch, GET /v1/results/{id},
+// the NDJSON stream lines and the client's EvalBatch — has its own JSON
+// codec (json.go): a byte-slice scanner that decodes a request's source
+// values straight into value.Values and a response's results straight into
+// EvalResults, and appenders that render both from typed values. It is
+// the path's only codec, and encoding/json is its test oracle; every other
+// endpoint (schemas, stats, errors, the shadow report) uses encoding/json.
+// Its contract:
+//
+//   - Encoding is byte-identical to json.Marshal of the same request or
+//     result: sorted object keys, the omitempty set, HTML-safe string
+//     escaping, float formatting. The one exception is a target value JSON
+//     cannot carry (NaN, ±Inf), where json.Marshal fails and lost the whole
+//     response: it is sent as null and named in that result's error.
+//   - Decoding accepts and rejects exactly the bodies encoding/json does
+//     and yields the same values, for bodies whose objects have no
+//     repeated key: field names match case-insensitively, unknown fields
+//     are skipped (but syntax-checked), null leaves a field unset, strings
+//     unquote alike (surrogate pairs, U+FFFD for invalid UTF-8), numbers
+//     follow RFC 8259 strictly, nesting stops at 10000 levels.
+//   - A repeated key: the last occurrence wins (encoding/json merges a
+//     repeated object or array field into what the first one left).
+//   - A request body is its first JSON value; bytes after it are ignored,
+//     as json.Decoder.Decode ignores them. A response body must be one
+//     value and nothing else, as json.Unmarshal demands.
+//   - An explicit null source is the same as an absent one: ⟂.
 package api
 
 import (

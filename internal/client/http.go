@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -23,6 +24,10 @@ type httpTransport struct {
 	tenant string
 	httpc  *http.Client
 }
+
+// respPool recycles response body buffers; every decoder copies what it
+// keeps out of them.
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func newHTTPTransport(base string, o Options) *httpTransport {
 	if !strings.Contains(base, "://") {
@@ -59,12 +64,21 @@ func (t *httpTransport) Eval(ctx context.Context, req api.EvalRequest) (api.Eval
 	return out, err
 }
 
+// EvalBatch speaks the eval path's own JSON codec (internal/api/json.go) on
+// both legs instead of encoding/json's reflection: the same bytes on the
+// wire, the same values back.
 func (t *httpTransport) EvalBatch(ctx context.Context, req api.BatchRequest) ([]api.EvalResult, error) {
-	var out api.BatchResponse
-	if err := t.post(ctx, "/v1/eval/batch", req, &out); err != nil {
+	body, err := api.AppendBatchRequest(make([]byte, 0, 64+64*len(req.Sources)), &req)
+	if err != nil {
 		return nil, err
 	}
-	return out.Results, nil
+	var out []api.EvalResult
+	err = t.send(ctx, "/v1/eval/batch", body, func(data []byte) error {
+		var err error
+		out, err = api.DecodeBatchResponse(data, len(req.Sources))
+		return err
+	})
+	return out, err
 }
 
 func (t *httpTransport) Stats(ctx context.Context) (api.StatsResponse, error) {
@@ -199,6 +213,17 @@ func (t *httpTransport) post(ctx context.Context, path string, in, out any) erro
 	if err != nil {
 		return err
 	}
+	return t.send(ctx, path, body, func(data []byte) error {
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(data, out)
+	})
+}
+
+// send posts an encoded body and hands a 2xx response's body to decode,
+// which must not keep the bytes.
+func (t *httpTransport) send(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -208,18 +233,18 @@ func (t *httpTransport) post(ctx context.Context, path string, in, out any) erro
 	if err != nil {
 		return err
 	}
-	data, err := io.ReadAll(resp.Body)
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer respPool.Put(buf)
+	_, err = buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return err
 	}
 	if resp.StatusCode/100 == 2 {
-		if out == nil {
-			return nil
-		}
-		return json.Unmarshal(data, out)
+		return decode(buf.Bytes())
 	}
-	return decodeError(resp, data)
+	return decodeError(resp, buf.Bytes())
 }
 
 func (t *httpTransport) get(ctx context.Context, path string, out any) error {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/runtime"
-	"repro/internal/value"
 )
 
 // This file is the binary ("dfbin") front end: persistent TCP connections
@@ -157,23 +156,6 @@ func (o *outbox) close() {
 	case o.wake <- struct{}{}:
 	default:
 	}
-}
-
-// slotBuf is a pooled dense source buffer (see runtime.Request.SourceSlots).
-type slotBuf struct{ v []value.Value }
-
-var slotPool = sync.Pool{New: func() any { return new(slotBuf) }}
-
-// getSlots returns a cleared slot buffer of length n.
-func getSlots(n int) *slotBuf {
-	sb := slotPool.Get().(*slotBuf)
-	if cap(sb.v) < n {
-		sb.v = make([]value.Value, n)
-	} else {
-		sb.v = sb.v[:n]
-		clear(sb.v)
-	}
-	return sb
 }
 
 // serveBinConn owns one connection: handshake, then the read loop. The
@@ -476,7 +458,7 @@ func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 	}
 
 	entry := bd.entry
-	shc := s.shadowSample(entry, c.tenantName, bd.st, nil, sb.v)
+	shc := s.shadowSample(entry, c.tenantName, bd.st, sb)
 	c.evals.Add(1)
 	err := s.svc.Submit(runtime.Request{
 		Schema:      entry.schema,
@@ -486,7 +468,7 @@ func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 		Done: func(res *engine.Result) {
 			s.shadowFinish(shc, entry, res)
 			// Before slotPool.Put below: the hook reads the dense slots.
-			s.captureEval(entry, c.tenantName, bd.st, nil, sb.v, res)
+			s.captureEval(entry, c.tenantName, bd.st, sb, res)
 			b := c.out.buf()
 			start := len(b)
 			b = api.BeginFrame(b, api.FrameResult)
@@ -542,9 +524,7 @@ func (bc *batchCtx) finish(i int, body []byte) {
 	for _, body := range bc.bodies {
 		c.out.recycle(body)
 	}
-	for _, sb := range bc.slots {
-		slotPool.Put(sb)
-	}
+	putSlots(bc.slots)
 	bc.t.release(n)
 	c.s.evals.Add(-n)
 	c.evals.Add(-n)
@@ -606,9 +586,7 @@ func (c *binConn) handleEvalBatch(reqID uint64, cur *api.Cursor) bool {
 	}
 	fail := func() bool {
 		s.unwind(t, n)
-		for _, sb := range slots {
-			slotPool.Put(sb)
-		}
+		putSlots(slots)
 		return false
 	}
 	// Column-major: all n values of column 0, then column 1, …
@@ -628,40 +606,26 @@ func (c *binConn) handleEvalBatch(reqID uint64, cur *api.Cursor) bool {
 	bc := &batchCtx{c: c, t: t, reqID: reqID, bodies: make([][]byte, n), slots: slots}
 	bc.left.Store(int64(n))
 	c.evals.Add(n)
-	release := s.svc.Hold() // the batch's queries leave together, not per idle instance
-	for i := 0; i < n; i++ {
-		i := i
-		shc := s.shadowSample(entry, c.tenantName, bd.st, nil, slots[i].v)
-		err := s.svc.Submit(runtime.Request{
-			Schema:      entry.schema,
-			SourceSlots: slots[i].v,
-			Strategy:    bd.st,
-			Tenant:      c.tenantName,
-			Done: func(res *engine.Result) {
-				s.shadowFinish(shc, entry, res)
-				s.captureEval(entry, c.tenantName, bd.st, nil, slots[i].v, res)
-				bc.finish(i, appendResultBody(c.out.buf(), entry, res))
-			},
-		})
-		if err != nil {
-			b := c.out.buf()
-			b = api.AppendUvarint(b, 0) // elapsedUs
-			for k := 0; k < 5; k++ {
-				b = api.AppendUvarint(b, 0)
+	s.submitAll(nil, entry, bd.st, c.tenantName, slots, func(i int, res *engine.Result, err error) {
+		b := c.out.buf()
+		if res != nil {
+			b = appendResultBody(b, entry, res)
+		} else { // refused by the service: an all-zero body carrying the error
+			for k := 0; k < 6; k++ {
+				b = api.AppendUvarint(b, 0) // elapsedUs, work, wasted, launched, synth, failures
 			}
 			b = api.AppendString(b, err.Error())
 			b = api.AppendUvarint(b, 0) // no targets
-			bc.finish(i, b)
 		}
-	}
-	release()
+		bc.finish(i, b)
+	})
 	return true
 }
 
 // appendResultBody encodes one completed instance per the result-body
 // grammar of internal/api. It runs inside the runtime's Done callback,
 // while the pooled snapshot is still valid — the binary sibling of
-// buildResult.
+// appendResult.
 func appendResultBody(b []byte, entry *schemaEntry, res *engine.Result) []byte {
 	b = api.AppendUvarint(b, uint64(max(res.Elapsed*1000, 0))) // µs
 	b = api.AppendUvarint(b, uint64(res.Work))

@@ -9,22 +9,17 @@ package server
 // own goroutine. With capture off the entire cost is one nil check.
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/capture"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/value"
 )
 
-// captureEval records one completed eval. Sources arrive either
-// name-keyed (src, the HTTP paths) or as the binary path's dense slots;
-// the hook runs before the slot buffer recycles. The record's source
-// vector is emitted in a deterministic order (sorted names / ascending
-// attribute IDs) so identical workloads produce byte-identical captures.
-func (s *Server) captureEval(entry *schemaEntry, tenantName string, st engine.Strategy, src map[string]value.Value, slots []value.Value, res *engine.Result) {
+// captureEval records one completed eval; the hook runs before the slot
+// buffer recycles. The record's source vector is in ascending name order
+// on every wire, so identical workloads produce byte-identical captures.
+func (s *Server) captureEval(entry *schemaEntry, tenantName string, st engine.Strategy, sb *slotBuf, res *engine.Result) {
 	w := s.capture
 	if w == nil {
 		return
@@ -45,24 +40,8 @@ func (s *Server) captureEval(entry *schemaEntry, tenantName string, st engine.St
 		Version:     entry.version,
 		Fingerprint: entry.fingerprint,
 		Strategy:    st.String(),
+		Sources:     entry.boundSources(sb),
 		Digest:      d.Error(msg).Sum(),
-	}
-	if src != nil {
-		rec.Sources = make([]api.CaptureSource, 0, len(src))
-		for name, v := range src {
-			rec.Sources = append(rec.Sources, api.CaptureSource{Name: name, Val: v})
-		}
-		sort.Slice(rec.Sources, func(i, j int) bool {
-			return rec.Sources[i].Name < rec.Sources[j].Name
-		})
-	} else {
-		sch := entry.schema
-		for id := 0; id < sch.NumAttrs() && id < len(slots); id++ {
-			a := sch.Attr(core.AttrID(id))
-			if a.IsSource() && !slots[id].IsNull() {
-				rec.Sources = append(rec.Sources, api.CaptureSource{Name: a.Name, Val: slots[id]})
-			}
-		}
 	}
 	w.Enqueue(api.AppendCaptureRecord(w.Buf(), &rec))
 }

@@ -23,15 +23,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,7 +45,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/flows"
 	"repro/internal/runtime"
-	"repro/internal/value"
 )
 
 // Config configures a Server.
@@ -212,10 +214,16 @@ type schemaEntry struct {
 	// shadow is the candidate version under shadow comparison, if any.
 	shadow atomic.Pointer[shadowState]
 	// digestIDs/digestNames are the targets re-sorted by name — the
-	// decision-digest fold order, precomputed so the capture hook never
-	// sorts per eval.
+	// decision-digest fold order and the key order of a JSON result's
+	// values object, precomputed so neither sorts per eval.
 	digestIDs   []core.AttrID
 	digestNames []string
+	// srcIndex maps each source attribute's name to its id: the HTTP
+	// handlers decode a request's source objects straight into dense slots
+	// by it. srcIDs are the same sources in ascending name order, the order
+	// of a capture record's source vector.
+	srcIndex map[string]core.AttrID
+	srcIDs   []core.AttrID
 }
 
 // maxVersionChain bounds how many superseded versions stay linked.
@@ -228,6 +236,13 @@ func newEntry(s *core.Schema, owner, text string, version uint64) *schemaEntry {
 		e.targetNames = append(e.targetNames, s.Attr(id).Name)
 	}
 	e.digestIDs, e.digestNames = capture.TargetOrder(s)
+	e.srcIndex = make(map[string]core.AttrID)
+	for _, id := range s.Sources() {
+		e.srcIndex[s.Attr(id).Name] = id
+	}
+	e.srcIDs = slices.SortedFunc(maps.Values(e.srcIndex), func(a, b core.AttrID) int {
+		return strings.Compare(s.Attr(a).Name, s.Attr(b).Name)
+	})
 	return e
 }
 
@@ -916,41 +931,6 @@ func (s *Server) resolveSchema(w http.ResponseWriter, name, strategy string) (*s
 	return entry, st, true
 }
 
-// resolve is resolveSchema plus the single instance's source decode.
-func (s *Server) resolve(w http.ResponseWriter, name, strategy string, sources map[string]any) (*schemaEntry, engine.Strategy, map[string]value.Value, bool) {
-	entry, st, ok := s.resolveSchema(w, name, strategy)
-	if !ok {
-		return nil, engine.Strategy{}, nil, false
-	}
-	src, err := api.DecodeSources(sources)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error(), 0)
-		return nil, engine.Strategy{}, nil, false
-	}
-	return entry, st, src, true
-}
-
-// buildResult renders a completed instance for the wire. It runs inside
-// the runtime's Done callback, while the pooled snapshot is still valid.
-func buildResult(entry *schemaEntry, res *engine.Result) api.EvalResult {
-	out := api.EvalResult{
-		Values:        make(map[string]any, len(entry.targetIDs)),
-		ElapsedMs:     res.Elapsed,
-		Work:          res.Work,
-		WastedWork:    res.WastedWork,
-		Launched:      res.Launched,
-		SynthesisRuns: res.SynthesisRuns,
-		Failures:      res.Failures,
-	}
-	for i, id := range entry.targetIDs {
-		out.Values[entry.targetNames[i]] = api.ToJSON(res.Snapshot.Val(id))
-	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-	}
-	return out
-}
-
 // unwind releases admission claims for a request that failed between
 // admission and reaching the runtime (decode/resolve error, a refused
 // batch second step, a closed service): the in-flight gauge, accepted
@@ -973,60 +953,58 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, t, 1) {
 		return
 	}
-	var req api.EvalRequest
-	if !s.decode(w, r, &req) {
-		s.unwind(t, 1)
-		return
-	}
-	entry, st, src, ok := s.resolve(w, req.Schema, req.Strategy, req.Sources)
+	entry, st, async, slots, ok := s.decodeEval(w, r, false)
 	if !ok {
 		s.unwind(t, 1)
 		return
 	}
-	if req.Async {
-		s.evalAsync(w, t, tenantName, entry, st, src)
+	sb := slots[0]
+	if async {
+		s.evalAsync(w, t, tenantName, entry, st, sb)
 		return
 	}
 
-	shc := s.shadowSample(entry, tenantName, st, src, nil)
-	resCh := make(chan api.EvalResult, 1)
+	shc := s.shadowSample(entry, tenantName, st, sb)
+	done := make(chan struct{})
 	cancel, err := s.svc.SubmitCancel(runtime.Request{
-		Schema:   entry.schema,
-		Sources:  src,
-		Strategy: st,
-		Tenant:   tenantName,
-		Ctx:      r.Context(),
+		Schema:      entry.schema,
+		SourceSlots: sb.v,
+		Strategy:    st,
+		Tenant:      tenantName,
+		Ctx:         r.Context(),
 		Done: func(res *engine.Result) {
 			s.shadowFinish(shc, entry, res)
-			s.captureEval(entry, tenantName, st, src, nil, res)
-			resCh <- buildResult(entry, res)
+			s.captureEval(entry, tenantName, st, sb, res)
+			sb.out = append(appendResult(sb.out[:0], -1, entry, res, nil), '\n')
+			close(done)
 		},
 	})
 	if err != nil {
+		slotPool.Put(sb)
 		s.unwind(t, 1)
 		writeErr(w, http.StatusServiceUnavailable, err.Error(), 0)
 		return
 	}
-	var out api.EvalResult
 	select {
-	case out = <-resCh:
+	case <-done:
 	case <-r.Context().Done():
 		// Client gone: abort the instance promptly, then wait for the
 		// abort to land so the claims release only after the runtime is
 		// done with the instance.
 		cancel(r.Context().Err())
-		out = <-resCh
+		<-done
 	}
 	t.release(1)
 	s.evals.Done()
-	writeJSON(w, http.StatusOK, out)
+	writeBody(w, http.StatusOK, sb.out)
+	slotPool.Put(sb)
 }
 
 // pending is one async instance's rendezvous.
 type pending struct {
 	tenant string
 	done   chan struct{}
-	result api.EvalResult
+	body   []byte // the encoded EvalResult, written before done closes
 	// tm is the result's TTL reaper, written before done closes and
 	// stopped when the result delivers (or the server drains) — without
 	// the stop, sustained async load piles up one live timer per eval for
@@ -1034,20 +1012,21 @@ type pending struct {
 	tm *time.Timer
 }
 
-func (s *Server) evalAsync(w http.ResponseWriter, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, src map[string]value.Value) {
+func (s *Server) evalAsync(w http.ResponseWriter, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, sb *slotBuf) {
 	id := strconv.FormatUint(s.resultSeq.Add(1), 36)
 	p := &pending{tenant: tenantName, done: make(chan struct{})}
 	s.results.Store(id, p)
-	shc := s.shadowSample(entry, tenantName, st, src, nil)
+	shc := s.shadowSample(entry, tenantName, st, sb)
 	err := s.svc.Submit(runtime.Request{
-		Schema:   entry.schema,
-		Sources:  src,
-		Strategy: st,
-		Tenant:   tenantName,
+		Schema:      entry.schema,
+		SourceSlots: sb.v,
+		Strategy:    st,
+		Tenant:      tenantName,
 		Done: func(res *engine.Result) {
 			s.shadowFinish(shc, entry, res)
-			s.captureEval(entry, tenantName, st, src, nil, res)
-			p.result = buildResult(entry, res)
+			s.captureEval(entry, tenantName, st, sb, res)
+			p.body = append(appendResult(nil, -1, entry, res, nil), '\n')
+			slotPool.Put(sb)
 			// Unfetched results expire so abandoned polls can't pin
 			// memory. The timer must exist before the WaitGroup claim
 			// releases: Drain's sweep runs after evals.Wait, so it is
@@ -1059,12 +1038,13 @@ func (s *Server) evalAsync(w http.ResponseWriter, t *tenant, tenantName string, 
 		},
 	})
 	if err != nil {
+		slotPool.Put(sb)
 		s.results.Delete(id)
 		s.unwind(t, 1)
 		writeErr(w, http.StatusServiceUnavailable, err.Error(), 0)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, api.AsyncResponse{ID: id})
+	writeBody(w, http.StatusAccepted, append(api.AppendJSONString([]byte(`{"id":`), id), "}\n"...))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -1104,7 +1084,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		if p.tm != nil {
 			p.tm.Stop()
 		}
-		writeJSON(w, http.StatusOK, p.result)
+		writeBody(w, http.StatusOK, p.body)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -1140,115 +1120,65 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, t, 1) {
 		return
 	}
-	var req api.BatchRequest
-	if !s.decode(w, r, &req) {
-		s.unwind(t, 1)
-		return
-	}
-	n := len(req.Sources)
-	if n == 0 {
-		s.unwind(t, 1)
-		writeErr(w, http.StatusBadRequest, "empty batch", 0)
-		return
-	}
-	if n > s.cfg.MaxBatch {
-		s.unwind(t, 1)
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch), 0)
-		return
-	}
-	entry, st, ok := s.resolveSchema(w, req.Schema, req.Strategy)
+	entry, st, stream, slots, ok := s.decodeEval(w, r, true)
 	if !ok {
 		s.unwind(t, 1)
 		return
 	}
-	srcs := make([]map[string]value.Value, n)
-	for i, m := range req.Sources {
-		src, err := api.DecodeSources(m)
-		if err != nil {
-			s.unwind(t, 1)
-			writeErr(w, http.StatusBadRequest, fmt.Sprintf("instance %d: %v", i, err), 0)
-			return
-		}
-		srcs[i] = src
-	}
+	n := len(slots)
 	if n > 1 && !s.admit(w, t, n-1) {
+		putSlots(slots)
 		s.unwind(t, 1)
 		return
 	}
-	if req.Stream {
-		s.batchStream(w, r, t, tenantName, entry, st, srcs)
+	if stream {
+		s.batchStream(w, r, t, tenantName, entry, st, slots)
 		return
 	}
 
-	results := make([]api.EvalResult, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	release := s.svc.Hold()
-	for i, src := range srcs {
-		i := i
-		shc := s.shadowSample(entry, tenantName, st, src, nil)
-		err := s.svc.Submit(runtime.Request{
-			Schema:   entry.schema,
-			Sources:  src,
-			Strategy: st,
-			Tenant:   tenantName,
-			Ctx:      r.Context(),
-			Done: func(res *engine.Result) {
-				s.shadowFinish(shc, entry, res)
-				s.captureEval(entry, tenantName, st, src, nil, res)
-				results[i] = buildResult(entry, res)
-				wg.Done()
-			},
-		})
-		if err != nil {
-			results[i] = api.EvalResult{Error: err.Error()}
-			wg.Done()
-		}
-	}
-	release()
+	s.submitAll(r.Context(), entry, st, tenantName, slots, func(i int, res *engine.Result, err error) {
+		slots[i].out = appendResult(slots[i].out[:0], -1, entry, res, err)
+		wg.Done()
+	})
 	wg.Wait()
 	t.release(n)
 	s.evals.Add(-n)
-	writeJSON(w, http.StatusOK, api.BatchResponse{Results: results})
+	out := bodyPool.Get().(*bytes.Buffer)
+	out.Reset()
+	out.WriteString(`{"results":[`)
+	for i, sb := range slots {
+		if i > 0 {
+			out.WriteByte(',')
+		}
+		out.Write(sb.out)
+	}
+	out.WriteString("]}\n")
+	putSlots(slots)
+	writeBody(w, http.StatusOK, out.Bytes())
+	bodyPool.Put(out)
 }
 
 // batchStream delivers batch results as NDJSON in completion order, so a
 // slow instance doesn't block delivery of finished ones.
-func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, srcs []map[string]value.Value) {
-	n := len(srcs)
-	items := make(chan api.BatchItem, n)
-	release := s.svc.Hold()
-	for i, src := range srcs {
-		i := i
-		shc := s.shadowSample(entry, tenantName, st, src, nil)
-		err := s.svc.Submit(runtime.Request{
-			Schema:   entry.schema,
-			Sources:  src,
-			Strategy: st,
-			Tenant:   tenantName,
-			Ctx:      r.Context(),
-			Done: func(res *engine.Result) {
-				s.shadowFinish(shc, entry, res)
-				s.captureEval(entry, tenantName, st, src, nil, res)
-				items <- api.BatchItem{Index: i, EvalResult: buildResult(entry, res)}
-			},
-		})
-		if err != nil {
-			items <- api.BatchItem{Index: i, EvalResult: api.EvalResult{Error: err.Error()}}
-		}
-	}
-	release()
+func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, slots []*slotBuf) {
+	n := len(slots)
+	done := make(chan int, n) // every instance sends its index exactly once
+	s.submitAll(r.Context(), entry, st, tenantName, slots, func(i int, res *engine.Result, err error) {
+		slots[i].out = append(appendResult(slots[i].out[:0], i, entry, res, err), '\n')
+		done <- i
+	})
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	gone := false
 	for received := 0; received < n; received++ {
-		item := <-items
+		i := <-done
 		if gone {
 			continue // keep draining so claims release correctly
 		}
-		if r.Context().Err() != nil || enc.Encode(item) != nil {
+		if _, err := w.Write(slots[i].out); err != nil || r.Context().Err() != nil {
 			gone = true
 			continue
 		}
@@ -1258,6 +1188,7 @@ func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, 
 	}
 	t.release(n)
 	s.evals.Add(-n)
+	putSlots(slots)
 }
 
 // statsResponse builds the stats view shared by GET /v1/stats and the

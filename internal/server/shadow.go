@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,10 +77,10 @@ type shadowCapture struct {
 
 // shadowSample decides on the eval hot path whether this live eval is
 // sampled for shadow comparison; the unsampled (and un-shadowed) cost is
-// one atomic load. Sources arrive either name-keyed (src) or as the binary
-// path's dense slots, which are copied out here — the pooled slot buffer
-// recycles when the live eval completes, the shadow outlives it.
-func (s *Server) shadowSample(entry *schemaEntry, tenantName string, st engine.Strategy, src map[string]value.Value, slots []value.Value) *shadowCapture {
+// one atomic load. The sources are copied out of the instance's slots and
+// overflow here — the pooled buffer recycles when the live eval completes,
+// the shadow outlives it.
+func (s *Server) shadowSample(entry *schemaEntry, tenantName string, st engine.Strategy, sb *slotBuf) *shadowCapture {
 	sh := entry.shadow.Load()
 	if sh == nil {
 		return nil
@@ -87,19 +88,28 @@ func (s *Server) shadowSample(entry *schemaEntry, tenantName string, st engine.S
 	if (sh.ctr.Add(1)-1)%sh.sampleEvery != 0 {
 		return nil
 	}
-	shc := &shadowCapture{sh: sh, live: entry, tenant: tenantName, strategy: st, src: src}
-	if src == nil {
-		m := make(map[string]value.Value)
-		sch := entry.schema
-		for id := 0; id < sch.NumAttrs() && id < len(slots); id++ {
-			a := sch.Attr(core.AttrID(id))
-			if a.IsSource() && !slots[id].IsNull() {
-				m[a.Name] = slots[id]
-			}
-		}
-		shc.src = m
+	src := make(map[string]value.Value)
+	for _, b := range entry.boundSources(sb) {
+		src[b.Name] = b.Val
 	}
-	return shc
+	return &shadowCapture{sh: sh, live: entry, tenant: tenantName, strategy: st, src: src}
+}
+
+// boundSources lists an instance's bindings in ascending name order: the
+// non-⟂ sources of the live schema from their slots, merged with the
+// overflow of names the live schema does not have.
+func (e *schemaEntry) boundSources(sb *slotBuf) []api.CaptureSource {
+	out := make([]api.CaptureSource, 0, len(e.srcIDs)+len(sb.extra))
+	for _, id := range e.srcIDs {
+		if !sb.v[id].IsNull() {
+			out = append(out, api.CaptureSource{Name: e.schema.Attr(id).Name, Val: sb.v[id]})
+		}
+	}
+	if len(sb.extra) > 0 {
+		out = append(out, sb.extra...)
+		slices.SortFunc(out, func(a, b api.CaptureSource) int { return strings.Compare(a.Name, b.Name) })
+	}
+	return out
 }
 
 // shadowFinish runs inside the live instance's Done callback: it captures
