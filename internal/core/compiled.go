@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/expr"
+	"repro/internal/value"
 )
 
 // This file implements schema compilation: at Build time every enabling
@@ -124,19 +125,50 @@ func (s *Schema) InitialNeeded() AttrSet { return s.needed0 }
 // an InitialNeeded dependent. The slice must not be modified.
 func (s *Schema) InitialSupport() []int32 { return s.support0 }
 
-// compileBackward fills synth, needed0 and support0. Dependents come later
-// in topological order, so one reverse pass sees every dependent's verdict
-// before it is counted.
+// InitialUnstable returns, per attribute, how many of its data inputs are
+// unstable in a fresh instance: its non-source data inputs. The slice must
+// not be modified.
+func (s *Schema) InitialUnstable() []int { return s.unstable0 }
+
+// ResetDecidable returns the enabling conditions a fresh instance may decide
+// before anything but the sources is stable: those that read a source, have
+// no compiled program, or fold to True or False over the sources alone.
+// Every other condition evaluates Unknown until one of its inputs
+// stabilizes, so the prequalifier's initial pass skips it. The set must not
+// be modified.
+func (s *Schema) ResetDecidable() AttrSet { return s.decide0 }
+
+// Cost returns Attr(a).Cost() from a dense column.
+func (s *Schema) Cost(a AttrID) int { return s.cost[a] }
+
+// IsTarget reports Attr(a).IsTarget from a dense column.
+func (s *Schema) IsTarget(a AttrID) bool { return s.target.Has(a) }
+
+// compileBackward fills synth, needed0, support0, unstable0 and the dense
+// cost and target columns. Dependents come later in topological order, so
+// one reverse pass sees every dependent's verdict before it is counted.
 func (s *Schema) compileBackward() {
 	n := len(s.attrs)
 	s.synth = NewAttrSet(n)
 	s.needed0 = NewAttrSet(n)
 	s.support0 = make([]int32, n)
+	s.unstable0 = make([]int, n)
+	s.cost = make([]int, n)
+	s.target = NewAttrSet(n)
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		b := s.topo[i]
 		a := s.attrs[b]
 		if a.Task != nil && a.Task.Kind == SynthesisTask {
 			s.synth.Add(b)
+		}
+		s.cost[b] = a.Cost()
+		if a.IsTarget {
+			s.target.Add(b)
+		}
+		for _, in := range s.dataIn[b] {
+			if !s.attrs[in].isSource {
+				s.unstable0[b]++
+			}
 		}
 		var sup int32
 		if a.IsTarget {
@@ -159,23 +191,35 @@ func (s *Schema) compileBackward() {
 	}
 }
 
-// compilePrograms builds the compiled execution artifacts. Called once by
-// finalize after validation succeeds, so name resolution cannot fail for
-// enabling conditions (validation already resolved every reference).
+// compilePrograms builds the compiled execution artifacts and decide0.
+// Called once by finalize after validation succeeds, so name resolution
+// cannot fail for enabling conditions (validation already resolved every
+// reference).
 func (s *Schema) compilePrograms() {
 	n := len(s.attrs)
 	s.condProgs = make([]*expr.Program, n)
 	s.valProgs = make([]*expr.Program, n)
 	s.enabDepsOf = make([]AttrSet, n)
 	s.enabDepOn = make([]AttrSet, n)
+	s.decide0 = NewAttrSet(n)
 	resolve := func(name string) (int, bool) {
 		id, ok := s.byName[name]
 		return int(id), ok
 	}
+	// The slots of a fresh instance as far as the schema knows them: the
+	// sources are known (their values vary per instance), nothing else is.
+	vals := make([]value.Value, n)
+	known := make([]bool, n)
+	for _, id := range s.sources {
+		known[id] = true
+	}
+	var m expr.Machine
 	for i, a := range s.attrs {
 		deps := NewAttrSet(n)
+		readsSource := false
 		for _, in := range s.enabIn[i] {
 			deps.Add(in)
+			readsSource = readsSource || known[in]
 		}
 		s.enabDepsOf[i] = deps
 		outs := NewAttrSet(n)
@@ -184,8 +228,12 @@ func (s *Schema) compilePrograms() {
 		}
 		s.enabDepOn[i] = outs
 		if a.Enabling != nil {
-			if prog, err := expr.Compile(a.Enabling, resolve); err == nil {
+			prog, err := expr.Compile(a.Enabling, resolve)
+			if err == nil {
 				s.condProgs[i] = prog
+			}
+			if err != nil || readsSource || prog.Eval3(&m, vals, known) != expr.Unknown {
+				s.decide0.Add(AttrID(i))
 			}
 		}
 		if a.Task != nil && a.Task.Expr != nil && a.Task.Compute != nil {

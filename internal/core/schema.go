@@ -38,6 +38,10 @@ type Schema struct {
 	synth      AttrSet   // attrs with a synthesis task
 	needed0    AttrSet   // needed set of a fresh instance
 	support0   []int32   // what holds each attr in needed0 (see InitialSupport)
+	unstable0  []int     // non-source data inputs per attr (see InitialUnstable)
+	decide0    AttrSet   // conditions a fresh instance can decide (see ResetDecidable)
+	cost       []int     // cost[a] = Attr(a).Cost()
+	target     AttrSet   // the targets as a bitset
 
 	// fingerprint is a deterministic hash of the schema structure, computed
 	// once at finalize; see Fingerprint.

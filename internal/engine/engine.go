@@ -237,7 +237,7 @@ func (in *instance) launch(id core.AttrID) bool {
 	if !ok {
 		return false
 	}
-	db.Submit(in.core.schema.Attr(id).Cost(), func() { in.complete(id) })
+	db.Submit(in.core.schema.Cost(id), func() { in.complete(id) })
 	return true
 }
 
@@ -265,7 +265,7 @@ func (in *instance) launchClustered(selected []core.AttrID) {
 			groups = append(groups, g)
 		}
 		g.ids = append(g.ids, id)
-		g.total += in.core.schema.Attr(id).Cost()
+		g.total += in.core.schema.Cost(id)
 	}
 	for _, g := range groups {
 		ids := g.ids

@@ -174,7 +174,7 @@ func (c *Core) Advance() ([]core.AttrID, Status) {
 // set. It returns the task's cost and whether the launch is speculative
 // (enabling condition still undetermined).
 func (c *Core) Book(id core.AttrID) (cost int, speculative bool) {
-	cost = c.schema.Attr(id).Cost()
+	cost = c.schema.Cost(id)
 	speculative = c.sn.State(id) == snapshot.Ready
 	c.pq.MarkLaunched(id)
 	c.res.Work += cost
@@ -226,7 +226,7 @@ func (c *Core) Complete(id core.AttrID, failed bool) (discarded bool) {
 	switch {
 	case discarded:
 		// The condition resolved false while the query ran: result discarded.
-		c.res.WastedWork += c.schema.Attr(id).Cost()
+		c.res.WastedWork += c.schema.Cost(id)
 		c.pq.NoteResult(id, value.Null)
 	case failed:
 		c.res.Failures++
@@ -250,7 +250,7 @@ func (c *Core) seal() {
 	}
 	c.done = true
 	for _, id := range c.inFlight {
-		c.res.WastedWork += c.schema.Attr(id).Cost()
+		c.res.WastedWork += c.schema.Cost(id)
 	}
 }
 

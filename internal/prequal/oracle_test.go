@@ -2,7 +2,9 @@ package prequal_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -323,5 +325,161 @@ func TestPreStabilizedSnapshot(t *testing.T) {
 	checkOracle(t, p, "after New")
 	if p.Needed(s.MustLookup("x").ID()) {
 		t.Error("x feeds only the already-disabled e: unneeded")
+	}
+}
+
+// referenceReset is the initial pass as the prequalifier first ran it, kept
+// as the reference for the compiled prologue: every attribute counts its
+// unstable data inputs, then every non-source condition executes once in ID
+// order, with readiness checked after each.
+func referenceReset(sn *snapshot.Snapshot, opts prequal.Options) *prequal.Prequalifier {
+	s := sn.Schema()
+	n := s.NumAttrs()
+	p := &prequal.Prequalifier{}
+	p.Bind(sn, opts)
+	for i := 0; i < n; i++ {
+		id := core.AttrID(i)
+		p.SetCond(id, expr.Unknown)
+		p.SetUnstableIn(id, 0)
+		if sn.Stable(id) {
+			p.MarkStable(id) // sources, plus any pre-stabilized attribute
+			p.Unneed(id)
+		}
+		if s.Attr(id).IsSource() {
+			p.SetCond(id, expr.True)
+			continue
+		}
+		u := 0
+		for _, in := range s.DataInputs(id) {
+			if !sn.Stable(in) {
+				u++
+			}
+		}
+		p.SetUnstableIn(id, u)
+	}
+	for i := 0; i < n; i++ {
+		id := core.AttrID(i)
+		if s.Attr(id).IsSource() {
+			continue
+		}
+		p.TryDecide(id)
+		p.TryReady(id)
+	}
+	p.Drain()
+	return p
+}
+
+type move struct {
+	id       core.AttrID
+	from, to snapshot.State
+}
+
+// prestabilize moves up to two random non-source attributes of sn to a
+// stable state, the same way for the same rng state.
+func prestabilize(sn *snapshot.Snapshot, rng *rand.Rand) {
+	s := sn.Schema()
+	var free []core.AttrID
+	for i := 0; i < s.NumAttrs(); i++ {
+		if !s.Attr(core.AttrID(i)).IsSource() {
+			free = append(free, core.AttrID(i))
+		}
+	}
+	for k := rng.Intn(3); k > 0 && len(free) > 0; k-- {
+		j := rng.Intn(len(free))
+		id := free[j]
+		free = slices.Delete(free, j, j+1)
+		if rng.Intn(2) == 0 {
+			sn.MustTransition(id, snapshot.Disabled)
+		} else if err := sn.SetValue(id, value.Int(int64(rng.Intn(5)-2))); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// observe installs an observer on sn that records every transition.
+func observe(sn *snapshot.Snapshot) *[]move {
+	var log []move
+	sn.SetObserver(func(id core.AttrID, from, to snapshot.State) {
+		log = append(log, move{id, from, to})
+	})
+	return &log
+}
+
+// TestResetMatchesReference runs the compiled prologue and the reference
+// pass over identical snapshots — random source vectors, some ⟂, with zero
+// to two attributes stable before the instance starts — and requires the
+// same internal state, the same snapshot states and the same transition
+// sequence; then the full sweep must agree with the result. One pooled
+// prequalifier serves every case, as in the runtime.
+func TestResetMatchesReference(t *testing.T) {
+	type flow struct {
+		name    string
+		schema  *core.Schema
+		sources func(*rand.Rand) map[string]value.Value
+	}
+	nullSome := func(base map[string]value.Value) func(*rand.Rand) map[string]value.Value {
+		return func(rng *rand.Rand) map[string]value.Value {
+			m := maps.Clone(base)
+			for name := range m {
+				if rng.Intn(4) == 0 {
+					m[name] = value.Null
+				}
+			}
+			return m
+		}
+	}
+	g := gen.Generate(gen.Default())
+	qs, qsrc := flows.Quickstart()
+	spread, err := flows.Spread(qsrc, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := []flow{
+		{"pattern", g.Schema, nullSome(g.SourceValues())},
+		{"quickstart", qs, func(rng *rand.Rand) map[string]value.Value {
+			return nullSome(spread(rng.Intn(8)))(rng)
+		}},
+	}
+	rng := rand.New(rand.NewSource(20027))
+	for i := 0; i < 250; i++ {
+		s := randschema.Generate(rng, randschema.Defaults())
+		fl = append(fl, flow{fmt.Sprintf("rand%d", i), s, func(rng *rand.Rand) map[string]value.Value {
+			return randschema.RandomSources(rng, s)
+		}})
+	}
+	pooled := &prequal.Prequalifier{}
+	for _, f := range fl {
+		for _, code := range strategies() {
+			st := engine.MustParseStrategy(code)
+			opts := prequal.Options{Propagate: st.Propagate, Speculative: st.Speculative}
+			for trial := 0; trial < 4; trial++ {
+				src := f.sources(rng)
+				seed := rng.Int63()
+				fresh := func() (*snapshot.Snapshot, *[]move) {
+					sn := snapshot.New(f.schema, src)
+					prestabilize(sn, rand.New(rand.NewSource(seed)))
+					return sn, observe(sn)
+				}
+				wantSn, wantLog := fresh()
+				ref := referenceReset(wantSn, opts)
+				gotSn, gotLog := fresh()
+				pooled.Reset(gotSn, opts)
+				where := fmt.Sprintf("%s/%s/trial %d", f.name, code, trial)
+				if !slices.Equal(*gotLog, *wantLog) {
+					t.Fatalf("%s: transitions %v, reference %v", where, *gotLog, *wantLog)
+				}
+				if gotSn.String() != wantSn.String() {
+					t.Fatalf("%s: snapshot\n%s\nreference\n%s", where, gotSn, wantSn)
+				}
+				got, want := pooled.Internals(), ref.Internals()
+				if !opts.Propagate {
+					got.Support, want.Support = nil, nil // unused, left stale
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: internals\n%+v\nreference\n%+v", where, got, want)
+				}
+				checkOracle(t, pooled, where+": after Reset")
+			}
+		}
 	}
 }

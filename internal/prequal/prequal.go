@@ -131,7 +131,23 @@ func New(sn *snapshot.Snapshot, opts Options) *Prequalifier {
 // and option set, reusing its internal storage when large enough, and runs
 // the initial propagation pass. The wall-clock runtime pools prequalifiers
 // through Reset to keep its hot path allocation-free.
+//
+// The pass starts from the schema's compiled prologue (core.Build): the
+// unstable-input counts and needed/support tables of a fresh instance are
+// copied, and only the ResetDecidable conditions are executed — plus those
+// reading an attribute that is already stable without being a source, or
+// that an earlier condition of this same pass disabled. Every skipped
+// condition would evaluate Unknown without side effects, so the resulting
+// state and the sequence of snapshot transitions are those of executing
+// every condition in ID order.
 func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
+	p.bind(sn, opts)
+	p.prologue()
+}
+
+// bind points the prequalifier at sn and sizes its storage, starting the
+// needed set, condition holds and support counts from the schema's tables.
+func (p *Prequalifier) bind(sn *snapshot.Snapshot, opts Options) {
 	s := sn.Schema()
 	n := s.NumAttrs()
 	p.s, p.sn, p.opts = s, sn, opts
@@ -146,8 +162,6 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 		p.unstableIn = p.unstableIn[:n]
 		p.support = p.support[:n]
 		p.launched = p.launched[:n]
-		clear(p.cond)
-		clear(p.unstableIn)
 		clear(p.launched)
 	}
 	words := (n + 63) / 64
@@ -164,7 +178,6 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 		p.needed = p.needed[:words]
 		p.holdsCond = p.holdsCond[:words]
 		p.stable.Clear()
-		p.dirty.Clear()
 		p.pool.Clear()
 	}
 	if opts.Propagate {
@@ -178,36 +191,53 @@ func (p *Prequalifier) Reset(sn *snapshot.Snapshot, opts Options) {
 		p.holdsCond.Clear()
 	}
 	p.queue = p.queue[:0]
-	for i := 0; i < n; i++ {
+}
+
+// prologue is Reset's initial propagation pass over the bound snapshot.
+func (p *Prequalifier) prologue() {
+	s := p.s
+	copy(p.unstableIn, s.InitialUnstable())
+	for _, id := range s.Sources() {
+		p.stable.Add(id)
+	}
+	// dirty serves the pass as the set of conditions to execute; drain
+	// leaves it empty again for the rounds after. Sources are reflected in unstableIn and in the snapshot
+	// slots, so they need no worklist entries of their own.
+	copy(p.dirty, s.ResetDecidable())
+	for i, k := range p.known {
 		id := core.AttrID(i)
 		p.cond[i] = expr.Unknown
-		if p.known[i] {
-			p.stable.Add(id) // sources, plus any pre-stabilized attribute
-			p.unneed(id)
-		}
-		a := s.Attr(id)
-		if a.IsSource() {
-			p.cond[i] = expr.True
+		if !k {
 			continue
 		}
-		for _, in := range s.DataInputs(id) {
-			if !sn.Stable(in) {
-				p.unstableIn[i]++
+		if p.stable.Has(id) {
+			p.cond[i] = expr.True // a source
+			continue
+		}
+		// Stable before the instance started: stabilize it now, before the
+		// pass, so the pass sees it like a source.
+		p.stable.Add(id)
+		p.unneed(id)
+		for _, b := range s.DataDependents(id) {
+			p.unstableIn[b]--
+		}
+		p.dirty.Or(s.EnablingDependentsSet(id))
+	}
+	// Initial pass: decide what a fresh instance can decide and establish
+	// readiness, in ID order. A condition disabled here is stable with ⟂ for
+	// the conditions after it, so their execution is no longer a foregone
+	// Unknown; the ones before it see it in drain, as they always did.
+	for i := range p.cond {
+		id := core.AttrID(i)
+		if p.dirty.Has(id) {
+			p.tryDecide(id)
+			if p.cond[i] == expr.False {
+				p.dirty.Or(s.EnablingDependentsSet(id))
 			}
 		}
-	}
-	// Initial pass: evaluate every condition once (decides constants and
-	// conditions over sources) and establish readiness. Sources are already
-	// reflected in unstableIn and in the snapshot slots, so they need no
-	// worklist entries of their own.
-	for i := 0; i < n; i++ {
-		id := core.AttrID(i)
-		if p.s.Attr(id).IsSource() {
-			continue
-		}
-		p.tryDecide(id)
 		p.tryReady(id)
 	}
+	p.dirty.Clear()
 	p.drain()
 }
 

@@ -107,7 +107,7 @@ func (s *Scheduler) SelectInto(schema *core.Schema, cands []core.AttrID, inFligh
 // other criterion and finally on ID, keeping selection fully deterministic.
 func (s *Scheduler) order(schema *core.Schema, ids []core.AttrID) {
 	rank := func(id core.AttrID) int { return schema.Rank(id) }
-	cost := func(id core.AttrID) int { return schema.Attr(id).Cost() }
+	cost := func(id core.AttrID) int { return schema.Cost(id) }
 	switch s.Heuristic {
 	case Cheapest:
 		slices.SortFunc(ids, func(a, b core.AttrID) int {

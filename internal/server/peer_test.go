@@ -179,6 +179,19 @@ func fleetClient(t testing.TB, n *fleetNode, tenant string) *client.Client {
 	return binClient(t, "dfbin://"+n.addr, client.WithTenant(tenant), client.WithMaxConns(8))
 }
 
+// quiesce waits until no node has a forward outstanding. An instance
+// answers its caller when its targets stabilize, possibly with speculative
+// launches still in flight; such a straggler forwarded to its home counts
+// in the forwarder's Launched at once, in the home's PeerServed and bucket
+// when it arrives, and in the forwarder's PeerForwards only when its ack
+// returns. Fleet counters read after the load but before this can disagree
+// by the stragglers still on the wire.
+func quiesce(nodes []*fleetNode) {
+	for _, n := range nodes {
+		n.srv.peers.fwd.Wait()
+	}
+}
+
 // hitRate is the cache-efficiency figure the equivalence test compares:
 // the fraction of keyed cache lookups answered from the cache.
 func hitRate(hits, misses uint64) float64 {
@@ -251,6 +264,7 @@ func TestPeerFleetCacheEquivalence(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	quiesce(nodes)
 
 	var fleet runtime.Stats
 	for _, n := range nodes {
@@ -308,6 +322,7 @@ func TestPeerFleetStatsAggregation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	quiesce(nodes)
 
 	hs := httptest.NewServer(nodes[0].srv.Handler())
 	defer hs.Close()

@@ -122,6 +122,27 @@ func Allowed(a, b State) bool {
 	return true
 }
 
+// allowed is Allowed as a table over the seven states, built once at init,
+// so Transition checks the automaton with one load.
+var allowed [Disabled + 1][Disabled + 1]bool
+
+func init() {
+	for a := range allowed {
+		for b := range allowed[a] {
+			allowed[a][b] = Allowed(State(a), State(b))
+		}
+	}
+}
+
+// legal is Allowed by table lookup. A state outside the automaton takes
+// the Allowed path, so it fails (or self-moves) exactly as there.
+func legal(from, to State) bool {
+	if from > Disabled || to > Disabled {
+		return Allowed(from, to)
+	}
+	return allowed[from][to]
+}
+
 // Snapshot is a mutable execution snapshot of one decision flow instance:
 // the pair (state function, value function) of the paper, over a fixed
 // schema. It enforces the automaton on every update.
@@ -233,7 +254,7 @@ func (sn *Snapshot) Stable(id core.AttrID) bool { return sn.states[id].Stable() 
 // SetValue instead so the value arrives with the state.
 func (sn *Snapshot) Transition(id core.AttrID, to State) error {
 	from := sn.states[id]
-	if !Allowed(from, to) {
+	if !legal(from, to) {
 		return fmt.Errorf("snapshot: illegal transition %v -> %v for %q",
 			from, to, sn.schema.Attr(id).Name)
 	}
@@ -243,7 +264,7 @@ func (sn *Snapshot) Transition(id core.AttrID, to State) error {
 	sn.states[id] = to
 	if to.Stable() && !sn.known[id] {
 		sn.known[id] = true // stability is monotone: never reset
-		if sn.schema.Attr(id).IsTarget {
+		if sn.schema.IsTarget(id) {
 			sn.unstableTargets--
 		}
 	}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,6 +108,39 @@ func TestAllowedTransitions(t *testing.T) {
 		if got := Allowed(c.from, c.to); got != c.ok {
 			t.Errorf("Allowed(%v, %v) = %v, want %v", c.from, c.to, got, c.ok)
 		}
+	}
+}
+
+// TestAllowedTable pins the table Transition consults to the definition:
+// every pair of the seven states agrees with Allowed, and a state outside
+// the automaton fails exactly as Allowed does.
+func TestAllowedTable(t *testing.T) {
+	for a := Uninitialized; a <= Disabled; a++ {
+		for b := Uninitialized; b <= Disabled; b++ {
+			if got, want := legal(a, b), Allowed(a, b); got != want {
+				t.Errorf("table[%v][%v] = %v, Allowed says %v", a, b, got, want)
+			}
+		}
+	}
+	if !legal(State(9), State(9)) {
+		t.Error("a self-move is allowed, even outside the automaton")
+	}
+	s := diamond(t)
+	sn := New(s, nil)
+	a := s.MustLookup("a").ID()
+	for _, bad := range []State{Disabled + 1, State(200)} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("snapshot: invalid state %d", bad)
+				if r := recover(); r != want {
+					t.Errorf("Transition to %v: panic %v, want %q", bad, r, want)
+				}
+			}()
+			sn.Transition(a, bad)
+		}()
+	}
+	if sn.State(a) != Uninitialized {
+		t.Errorf("a failed transition moved a to %v", sn.State(a))
 	}
 }
 
