@@ -11,7 +11,7 @@ SERVING_BENCH ?= Serve|ServiceThroughput|Replay
 SERVING_ITERS ?= 20000x
 BENCH_TOLERANCE ?= 0.20
 
-.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder bench-pairs profile-serving ci
+.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder bench-pairs profile-serving loc ci
 
 all: ci
 
@@ -174,5 +174,14 @@ profile-serving:
 	mkdir -p prof
 	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -cpuprofile prof/dfserve-cpu.pprof -memprofile prof/dfserve-mem.pprof
 	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -schema pattern -cpuprofile prof/dfserve-pattern-cpu.pprof -memprofile prof/dfserve-pattern-mem.pprof
+
+# Non-test Go lines, the tracked number of ROADMAP's North-star goal 2:
+# raw lines of every *.go file except *_test.go, for the root module (all
+# of it but bench/), for bench/ (its own module), and per internal/ package.
+GO_LOC = find $(1) -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+loc:
+	@printf '%8d  root module\n' $$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
+	@printf '%8d  bench/\n' $$($(call GO_LOC,bench))
+	@for d in internal/*/; do printf '%8d  %s\n' $$($(call GO_LOC,$$d)) $$d; done
 
 ci: build vet test race bench fuzz-smoke chaos smoke torture cover bench-guard profile-serving bench-e2e

@@ -233,12 +233,16 @@ type ServeRequest = rt.Request
 type ServiceStats = rt.Stats
 
 // Backend abstracts the external database in wall-clock time; bring your
-// own for real integrations.
+// own for real integrations. Its one method, Exec, runs a slice of
+// BackendQuery as one combined round trip (one element is a plain query)
+// and reports each member's outcome exactly once; a non-nil error
+// completes that task as failed (value ⟂). Exec must not retain the slice.
 type Backend = rt.Backend
 
-// BatchExec is the optional Backend capability of executing several
-// queries as one combined round trip (the query layer's batching target).
-type BatchExec = rt.BatchExec
+// BackendQuery is one query handed to a Backend: its cost in units of
+// processing and its sharing-identity hash (ClusterBackend's shard
+// placement key).
+type BackendQuery = rt.Query
 
 // InstantBackend completes every query immediately — the engine-side
 // throughput ceiling.
@@ -251,12 +255,6 @@ type LatencyBackend = rt.Latency
 // PacedSimBackend runs the paper's simulated CPU/disk database server
 // against the wall clock, so contention emerges under real concurrency.
 type PacedSimBackend = rt.PacedSim
-
-// Fallible is the optional Backend capability of reporting query outcome:
-// SubmitErr is Submit with an error delivered to done. The cluster uses it
-// to drive retries and failover; the service completes terminally failed
-// queries as task failures (value ⟂).
-type Fallible = rt.Fallible
 
 // ClusterBackend is a sharded, replicated Backend: N consistent-hash
 // shards × R replicas of any Backend, with replica load balancing,

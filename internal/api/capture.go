@@ -3,7 +3,7 @@
 // lives here beside the WAL and dfbin codecs so every byte format the
 // system persists or ships has exactly one definition.
 //
-// Record layout (framing identical to the WAL codec):
+// Record layout (the framing of record.go, shared with the WAL codec):
 //
 //	u32le payloadLen | payload | u32le crc32(payload, IEEE)
 //
@@ -16,7 +16,7 @@
 // are name-keyed, not attribute-id-keyed, so a capture is self-contained:
 // replay does not need the bind table of the connection that recorded it,
 // and the same capture replays against any schema version that still
-// names those sources. The trailing CRC covers the payload only. A record
+// names those sources. A record
 // whose declared extent runs past the available bytes is "torn"
 // (ErrCaptureTorn — the tail of a capture file cut short by a crash or an
 // abandoned write, safe to stop at); any complete record that fails the
@@ -26,7 +26,6 @@ package api
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/value"
 )
@@ -91,25 +90,22 @@ type CaptureRecord struct {
 
 // AppendCaptureRecord appends the encoding of r to dst.
 func AppendCaptureRecord(dst []byte, r *CaptureRecord) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
-	dst = append(dst, CaptureV1)
-	dst = AppendUvarint(dst, r.MonoNs)
-	dst = le64(dst, r.WallNs)
-	dst = AppendString(dst, r.Tenant)
-	dst = AppendString(dst, r.Schema)
-	dst = AppendUvarint(dst, r.Version)
-	dst = le64(dst, r.Fingerprint)
-	dst = AppendString(dst, r.Strategy)
-	dst = AppendUvarint(dst, uint64(len(r.Sources)))
-	for _, src := range r.Sources {
-		dst = AppendString(dst, src.Name)
-		dst = AppendValue(dst, src.Val)
-	}
-	dst = le64(dst, r.Digest)
-	payload := dst[start+4:]
-	putLE32(dst[start:], uint32(len(payload)))
-	return le32(dst, crc32.ChecksumIEEE(payload))
+	return appendFramed(dst, func(dst []byte) []byte {
+		dst = append(dst, CaptureV1)
+		dst = AppendUvarint(dst, r.MonoNs)
+		dst = le64(dst, r.WallNs)
+		dst = AppendString(dst, r.Tenant)
+		dst = AppendString(dst, r.Schema)
+		dst = AppendUvarint(dst, r.Version)
+		dst = le64(dst, r.Fingerprint)
+		dst = AppendString(dst, r.Strategy)
+		dst = AppendUvarint(dst, uint64(len(r.Sources)))
+		for _, src := range r.Sources {
+			dst = AppendString(dst, src.Name)
+			dst = AppendValue(dst, src.Val)
+		}
+		return le64(dst, r.Digest)
+	})
 }
 
 // DecodeCaptureRecord decodes the first record in b, returning it and the
@@ -117,21 +113,9 @@ func AppendCaptureRecord(dst []byte, r *CaptureRecord) []byte {
 // the record's declared extent and ErrCaptureCorrupt for everything else.
 func DecodeCaptureRecord(b []byte) (CaptureRecord, int, error) {
 	var r CaptureRecord
-	if len(b) < 4 {
-		return r, 0, fmt.Errorf("%w: %d bytes of length prefix", ErrCaptureTorn, len(b))
-	}
-	n := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	if n < 1 || n+8 > MaxCaptureRecord {
-		return r, 0, fmt.Errorf("%w: implausible record length %d", ErrCaptureCorrupt, n)
-	}
-	total := 4 + n + 4
-	if len(b) < total {
-		return r, 0, fmt.Errorf("%w: %d of %d bytes", ErrCaptureTorn, len(b), total)
-	}
-	payload := b[4 : 4+n]
-	sum := uint32(b[4+n]) | uint32(b[5+n])<<8 | uint32(b[6+n])<<16 | uint32(b[7+n])<<24
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return r, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCaptureCorrupt, sum, got)
+	payload, total, err := splitFramed(b, MaxCaptureRecord, ErrCaptureTorn, ErrCaptureCorrupt)
+	if err != nil {
+		return r, 0, err
 	}
 	c := NewCursor(payload)
 	if ver := c.Byte(); c.Err() == nil && ver != CaptureV1 {

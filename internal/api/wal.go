@@ -3,16 +3,14 @@
 // codec lives here beside the binary frame codec so every byte format the
 // system persists or ships has exactly one definition.
 //
-// Record layout:
+// Record layout (the framing of record.go):
 //
 //	u32le payloadLen | payload | u32le crc32(payload, IEEE)
 //
 //	payload = kind:byte tenant:string name:string version:uvarint
 //	          fingerprint:u64le sampleEvery:uvarint text:string
 //
-// (strings and uvarints as in the dfbin frame grammar). The trailing CRC
-// covers the payload only; the length prefix is validated structurally. A
-// record whose declared extent runs past the available bytes is "torn"
+// (strings and uvarints as in the dfbin frame grammar). A record whose declared extent runs past the available bytes is "torn"
 // (ErrWALTorn — the tail of a log cut short by a crash mid-write, safe to
 // truncate); any complete record that fails the CRC or does not parse is
 // "corrupt" (ErrWALCorrupt — bit rot or a bug, never safe to ignore).
@@ -21,7 +19,6 @@ package api
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 )
 
 // WAL record kinds.
@@ -69,18 +66,15 @@ type WALRecord struct {
 
 // AppendWALRecord appends the encoding of r to dst.
 func AppendWALRecord(dst []byte, r WALRecord) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
-	dst = append(dst, r.Kind)
-	dst = AppendString(dst, r.Tenant)
-	dst = AppendString(dst, r.Name)
-	dst = AppendUvarint(dst, r.Version)
-	dst = le64(dst, r.Fingerprint)
-	dst = AppendUvarint(dst, r.SampleEvery)
-	dst = AppendString(dst, r.Text)
-	payload := dst[start+4:]
-	putLE32(dst[start:], uint32(len(payload)))
-	return le32(dst, crc32.ChecksumIEEE(payload))
+	return appendFramed(dst, func(dst []byte) []byte {
+		dst = append(dst, r.Kind)
+		dst = AppendString(dst, r.Tenant)
+		dst = AppendString(dst, r.Name)
+		dst = AppendUvarint(dst, r.Version)
+		dst = le64(dst, r.Fingerprint)
+		dst = AppendUvarint(dst, r.SampleEvery)
+		return AppendString(dst, r.Text)
+	})
 }
 
 // DecodeWALRecord decodes the first record in b, returning it and the
@@ -88,21 +82,9 @@ func AppendWALRecord(dst []byte, r WALRecord) []byte {
 // record's declared extent and ErrWALCorrupt for everything else.
 func DecodeWALRecord(b []byte) (WALRecord, int, error) {
 	var r WALRecord
-	if len(b) < 4 {
-		return r, 0, fmt.Errorf("%w: %d bytes of length prefix", ErrWALTorn, len(b))
-	}
-	n := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	if n < 1 || n+8 > MaxWALRecord {
-		return r, 0, fmt.Errorf("%w: implausible record length %d", ErrWALCorrupt, n)
-	}
-	total := 4 + n + 4
-	if len(b) < total {
-		return r, 0, fmt.Errorf("%w: %d of %d bytes", ErrWALTorn, len(b), total)
-	}
-	payload := b[4 : 4+n]
-	sum := uint32(b[4+n]) | uint32(b[5+n])<<8 | uint32(b[6+n])<<16 | uint32(b[7+n])<<24
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return r, 0, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrWALCorrupt, sum, got)
+	payload, total, err := splitFramed(b, MaxWALRecord, ErrWALTorn, ErrWALCorrupt)
+	if err != nil {
+		return r, 0, err
 	}
 	c := NewCursor(payload)
 	r.Kind = c.Byte()
@@ -121,15 +103,7 @@ func DecodeWALRecord(b []byte) (WALRecord, int, error) {
 	return r, total, nil
 }
 
-func le32(dst []byte, x uint32) []byte {
-	return append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-}
-
 func le64(dst []byte, x uint64) []byte {
 	return append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
 		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-}
-
-func putLE32(dst []byte, x uint32) {
-	dst[0], dst[1], dst[2], dst[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
 }

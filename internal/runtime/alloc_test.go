@@ -1,0 +1,85 @@
+package runtime
+
+import (
+	"testing"
+
+	"repro/internal/engine"
+)
+
+// Allocation pins: one quickstart instance end to end through Service —
+// submit, every launch and completion, finalize, retire — counted with
+// testing.AllocsPerRun instead of timed. A change that adds a steady-state
+// allocation to one of these paths fails here rather than hiding in a
+// benchmark's run-to-run noise.
+
+// instanceAllocs serves warm-up instances on cfg, then reports the mean
+// allocations of one more.
+func instanceAllocs(t *testing.T, cfg Config) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, sources := quickstart(t)
+	cfg.Workers = 1
+	svc := New(cfg)
+	defer svc.Close()
+	done := make(chan struct{}, 1)
+	req := Request{
+		Schema: s, Sources: sources, Strategy: engine.MustParseStrategy("PSE100"),
+		Done: func(r *engine.Result) {
+			if r.Err != nil {
+				t.Error(r.Err)
+			}
+			done <- struct{}{}
+		},
+	}
+	run := func() {
+		if err := svc.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+	}
+	for range 200 { // warm the instance pool, the caches and the histograms
+		run()
+	}
+	return testing.AllocsPerRun(2000, run)
+}
+
+func checkAllocs(t *testing.T, got float64, limit float64) {
+	t.Helper()
+	t.Logf("%.0f allocs per instance (limit %.0f)", got, limit)
+	if got > limit {
+		t.Fatalf("%.0f allocs per instance, want ≤ %.0f", got, limit)
+	}
+}
+
+// TestAllocsDirectInstant pins the direct path over Instant.
+func TestAllocsDirectInstant(t *testing.T) {
+	checkAllocs(t, instanceAllocs(t, Config{Backend: Instant{}}), allocsDirectInstant)
+}
+
+// TestAllocsDirectCluster pins the direct path over a 2×2 cluster of
+// Instant replicas, where every launch renders and hashes its sharing
+// identity for shard placement.
+func TestAllocsDirectCluster(t *testing.T) {
+	cl := NewCluster(ClusterConfig{
+		Shards: 2, Replicas: 2,
+		New: func(int, int) Backend { return Instant{} },
+	})
+	checkAllocs(t, instanceAllocs(t, Config{Backend: cl}), allocsDirectCluster)
+}
+
+// TestAllocsQueryLayerHit pins the query layer with dedup and the cache on,
+// once every identity is cached: no launch reaches the backend.
+func TestAllocsQueryLayerHit(t *testing.T) {
+	cfg := Config{Backend: Instant{}, Query: QueryConfig{Dedup: true, CacheSize: 1024}}
+	checkAllocs(t, instanceAllocs(t, cfg), allocsQueryLayerHit)
+}
+
+// The limits are counts measured with go1.24 on linux/amd64 (quickstart
+// under PSE100 launches three foreign tasks).
+const (
+	allocsDirectInstant = 0
+	allocsDirectCluster = 21
+	allocsQueryLayerHit = 5
+)

@@ -26,64 +26,31 @@ import (
 	"repro/internal/simdb"
 )
 
-// Backend abstracts the external database server in wall-clock time:
-// Submit starts a query of the given cost in units of processing and calls
-// done exactly once when the result is available.
+// Query is one database query: its cost in units of processing and its
+// sharing-identity hash (the shard placement key; arbitrary for unkeyed
+// queries).
+type Query struct {
+	Hash uint64
+	Cost int
+}
+
+// Backend abstracts the external database server in wall-clock time: Exec
+// runs qs as one combined round trip (len 1 is a plain query) and calls
+// each(i, err) exactly once per member, from any goroutine, possibly
+// synchronously. A non-nil err means member i failed (the server is down,
+// overloaded, or a fault was injected). Exec does not retain qs after it
+// returns.
 //
-// done may be invoked synchronously from Submit or from any goroutine; the
-// service's completion handler is cheap and non-blocking (it releases an
-// admission token and enqueues the completion for a worker), so backends
-// need not defend against slow callbacks.
+// A combined round trip is the paper's §6 query clustering applied across
+// instances: the backend's fixed per-query cost is paid once for the whole
+// batch, trading per-result latency for amortization.
 //
-// Implementations must be safe for concurrent Submit calls.
+// The service's completion handler is cheap and non-blocking (it releases
+// an admission token and enqueues the completion for a worker), so
+// backends need not defend against slow callbacks. Implementations must be
+// safe for concurrent Exec calls.
 type Backend interface {
-	Submit(cost int, done func())
-}
-
-// BatchExec is an optional Backend capability: execute several queries as
-// one combined round trip, paying the backend's fixed per-query cost once
-// for the whole batch. done is called exactly once, when every member's
-// result is available; the caller (the service's query layer) fans the
-// completion out to the individual queries.
-//
-// Semantically a batch is the paper's §6 query clustering applied across
-// instances: per-result latency is traded for fixed-cost amortization.
-type BatchExec interface {
-	SubmitBatch(costs []int, done func())
-}
-
-// Fallible is the optional Backend capability of reporting query outcome:
-// SubmitErr behaves like Submit, but done receives a non-nil error when
-// the query failed (the server is down, overloaded, or a fault was
-// injected). done(nil) is a success. Callers that find the capability use
-// it to drive retries, failover and failure accounting; callers that
-// don't, fall back to Submit, where failure is invisible.
-type Fallible interface {
-	SubmitErr(cost int, done func(error))
-}
-
-// FallibleBatch is Fallible's batch counterpart: the whole combined query
-// succeeds or fails as a unit.
-type FallibleBatch interface {
-	SubmitBatchErr(costs []int, done func(error))
-}
-
-// Routed is the optional Backend capability of placing each query by its
-// 64-bit sharing-identity hash, so the same logical query consistently
-// lands on the same partition of a sharded backend (implemented by
-// Cluster). Callers that hold a query's sharing identity (the service's
-// direct launch path and the query layer's dispatcher) prefer this over
-// Submit; unroutable queries pass an arbitrary hash and land wherever it
-// says.
-type Routed interface {
-	SubmitRouted(hash uint64, cost int, done func(error))
-}
-
-// RoutedBatch fans one combined batch out by per-member hash: each(i, err)
-// is invoked exactly once per member i as its partition's sub-batch
-// completes, so fast shards don't wait for slow ones.
-type RoutedBatch interface {
-	SubmitRoutedBatch(hashes []uint64, costs []int, each func(i int, err error))
+	Exec(qs []Query, each func(i int, err error))
 }
 
 // ErrInjected is the error fault-injecting backends report for queries
@@ -96,11 +63,12 @@ var ErrInjected = errors.New("runtime: injected backend fault")
 // the paper's infinite-resource database.
 type Instant struct{}
 
-// Submit completes the query immediately.
-func (Instant) Submit(cost int, done func()) { done() }
-
-// SubmitBatch completes the whole batch immediately.
-func (Instant) SubmitBatch(costs []int, done func()) { done() }
+// Exec completes every member immediately.
+func (Instant) Exec(qs []Query, each func(int, error)) {
+	for i := range qs {
+		each(i, nil)
+	}
+}
 
 // Latency is a latency-injecting concurrent backend: a query of cost c
 // completes Base + c×PerUnit (±Jitter) after submission, timed on real
@@ -111,8 +79,6 @@ func (Instant) SubmitBatch(costs []int, done func()) { done() }
 // Fault injection (for resilience tests and chaos runs): FailRate queries
 // report ErrInjected after their normal latency, StallRate queries never
 // report at all — both drawn from a seeded stream, so runs reproduce.
-// Faults are observable only through the error-aware paths (SubmitErr,
-// SubmitBatchErr); the plain Submit/SubmitBatch paths stay fault-blind.
 type Latency struct {
 	// Base is the fixed per-query latency (connection, parse, optimize).
 	Base time.Duration
@@ -141,37 +107,18 @@ type Latency struct {
 	rng  *rand.Rand
 }
 
-// Submit schedules done after the query's injected latency; it blocks
-// while Parallel queries are already executing.
-func (l *Latency) Submit(cost int, done func()) {
-	l.run(cost, func(error) { done() })
-}
-
-// SubmitErr is Submit with fault reporting: injected failures arrive as
-// ErrInjected, injected stalls never arrive.
-func (l *Latency) SubmitErr(cost int, done func(error)) {
-	l.run(cost, done)
-}
-
-// SubmitBatch executes the batch as one combined query: a single
-// multiprogramming slot, one Base charge, and the summed per-unit latency
-// — the fixed per-query cost is paid once for the whole batch.
-func (l *Latency) SubmitBatch(costs []int, done func()) {
-	l.SubmitBatchErr(costs, func(error) { done() })
-}
-
-// SubmitBatchErr is SubmitBatch with fault reporting; the combined query
-// draws one fault, shared by every member.
-func (l *Latency) SubmitBatchErr(costs []int, done func(error)) {
-	total := 0
-	for _, c := range costs {
-		total += c
+// Exec executes qs as one combined query: a single multiprogramming slot,
+// one Base charge and the summed per-unit latency — the fixed per-query
+// cost is paid once for the whole round trip. It blocks while Parallel
+// queries are already executing. The round trip draws one fault, shared by
+// every member: injected failures arrive as ErrInjected, injected stalls
+// never arrive.
+func (l *Latency) Exec(qs []Query, each func(int, error)) {
+	cost := 0
+	for _, q := range qs {
+		cost += q.Cost
 	}
-	l.run(total, done)
-}
-
-// run injects the latency for one (possibly combined) query.
-func (l *Latency) run(cost int, done func(error)) {
+	n := len(qs)
 	l.once.Do(func() {
 		if l.Parallel > 0 {
 			l.sem = make(chan struct{}, l.Parallel)
@@ -202,11 +149,13 @@ func (l *Latency) run(cost int, done func(error)) {
 		if stall {
 			return
 		}
+		var err error
 		if fail {
-			done(ErrInjected)
-			return
+			err = ErrInjected
 		}
-		done(nil)
+		for i := range n {
+			each(i, err)
+		}
 	})
 }
 
@@ -245,61 +194,32 @@ func NewPacedSim(p simdb.Params, seed int64, scale float64) *PacedSim {
 	}
 }
 
-// Submit feeds the query into the simulation at the current (wall-mapped)
-// virtual time.
-func (b *PacedSim) Submit(cost int, done func()) {
-	b.mu.Lock()
-	b.advanceLocked()
-	b.db.Submit(cost, func() { b.fired = append(b.fired, done) })
-	b.rescheduleLocked()
-	fired := b.takeFiredLocked()
-	b.mu.Unlock()
-	for _, f := range fired {
-		f()
+// Exec feeds qs into the simulation at the current (wall-mapped) virtual
+// time: a lone query as itself, several as one combined query — one
+// multiprogramming slot, the per-query overhead (simdb.Params.OverheadUnits)
+// charged once. Faults are driven by the simulated server's fault
+// parameters (simdb.Params.FailProb / StallProb); a combined query draws one,
+// shared by every member.
+func (b *PacedSim) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
+	fire := func(err error) {
+		b.fired = append(b.fired, func() {
+			for i := range n {
+				each(i, err)
+			}
+		})
 	}
-}
-
-// SubmitErr is Submit with fault reporting, driven by the simulated
-// server's fault parameters (simdb.Params.FailProb / StallProb).
-func (b *PacedSim) SubmitErr(cost int, done func(error)) {
-	b.mu.Lock()
-	b.advanceLocked()
-	b.db.SubmitErr(cost, func(err error) { b.fired = append(b.fired, func() { done(err) }) })
-	b.rescheduleLocked()
-	fired := b.takeFiredLocked()
-	b.mu.Unlock()
-	for _, f := range fired {
-		f()
-	}
-}
-
-// SubmitBatch feeds the whole batch into the simulation as one combined
-// query: one multiprogramming slot, the per-query overhead
-// (simdb.Params.OverheadUnits) charged once.
-func (b *PacedSim) SubmitBatch(costs []int, done func()) {
-	b.mu.Lock()
-	b.advanceLocked()
-	b.db.SubmitBatch(costs, func() { b.fired = append(b.fired, done) })
-	b.rescheduleLocked()
-	fired := b.takeFiredLocked()
-	b.mu.Unlock()
-	for _, f := range fired {
-		f()
-	}
-}
-
-// SubmitBatchErr is SubmitBatch with fault reporting; the combined query
-// draws one simulated fault, shared by every member.
-func (b *PacedSim) SubmitBatchErr(costs []int, done func(error)) {
-	b.mu.Lock()
-	b.advanceLocked()
-	b.db.SubmitBatchErr(costs, func(err error) { b.fired = append(b.fired, func() { done(err) }) })
-	b.rescheduleLocked()
-	fired := b.takeFiredLocked()
-	b.mu.Unlock()
-	for _, f := range fired {
-		f()
-	}
+	b.step(func() {
+		if n == 1 {
+			b.db.SubmitErr(qs[0].Cost, fire)
+			return
+		}
+		costs := make([]int, n)
+		for i, q := range qs {
+			costs[i] = q.Cost
+		}
+		b.db.SubmitBatchErr(costs, fire)
+	})
 }
 
 // Stats reports the simulated server's time-averaged multiprogramming
@@ -322,11 +242,20 @@ func (b *PacedSim) Stop() {
 }
 
 // tick fires when the wall clock reaches the next virtual event.
-func (b *PacedSim) tick() {
+func (b *PacedSim) tick() { b.step(nil) }
+
+// step brings the simulation up to the wall clock, runs submit (if any) at
+// that virtual instant, re-arms the pacing timer, and dispatches the
+// completions that fired — outside the lock.
+func (b *PacedSim) step(submit func()) {
 	b.mu.Lock()
 	b.advanceLocked()
+	if submit != nil {
+		submit()
+	}
 	b.rescheduleLocked()
-	fired := b.takeFiredLocked()
+	fired := b.fired
+	b.fired = nil
 	b.mu.Unlock()
 	for _, f := range fired {
 		f()
@@ -354,10 +283,4 @@ func (b *PacedSim) rescheduleLocked() {
 	} else {
 		b.timer.Reset(d)
 	}
-}
-
-func (b *PacedSim) takeFiredLocked() []func() {
-	fired := b.fired
-	b.fired = nil
-	return fired
 }

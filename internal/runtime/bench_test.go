@@ -271,18 +271,19 @@ func BenchmarkServeCachedInstantCaptureOff(b *testing.B) {
 	})
 }
 
-// flushProbe timestamps every batch the dispatcher hands to the cluster.
+// flushProbe timestamps every round trip the dispatcher hands to the
+// cluster.
 type flushProbe struct {
 	*Cluster
 	mu      sync.Mutex
 	flushes []time.Time
 }
 
-func (p *flushProbe) SubmitRoutedBatch(hashes []uint64, costs []int, each func(i int, err error)) {
+func (p *flushProbe) Exec(qs []Query, each func(i int, err error)) {
 	p.mu.Lock()
 	p.flushes = append(p.flushes, time.Now())
 	p.mu.Unlock()
-	p.Cluster.SubmitRoutedBatch(hashes, costs, each)
+	p.Cluster.Exec(qs, each)
 }
 
 // BenchmarkLoneRequestZipf is the in-process probe behind the batching

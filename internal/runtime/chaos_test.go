@@ -33,8 +33,9 @@ const (
 	chDegraded       // new queries take slow× the normal latency
 )
 
-// chaosReplica is a fault-injectable Fallible backend double. Latency is
-// base + cost×perUnit with seeded jitter; Set flips the fault mode
+// chaosReplica is a fault-injectable backend double. A round trip's
+// latency is base + cost×perUnit (cost summed over its members) with
+// seeded jitter, and its outcome is shared by every member; Set flips the fault mode
 // mid-run, erroring everything in flight when killing — exactly what a
 // crashed server does to its open connections.
 type chaosReplica struct {
@@ -75,7 +76,17 @@ func (c *chaosReplica) Set(mode int32) {
 	}
 }
 
-func (c *chaosReplica) SubmitErr(cost int, done func(error)) {
+func (c *chaosReplica) Exec(qs []Query, each func(int, error)) {
+	cost := 0
+	for _, q := range qs {
+		cost += q.Cost
+	}
+	n := len(qs)
+	done := func(err error) {
+		for i := range n {
+			each(i, err)
+		}
+	}
 	c.mu.Lock()
 	switch c.mode {
 	case chKilled:
@@ -109,18 +120,6 @@ func (c *chaosReplica) complete(id int, err error) {
 	if done != nil {
 		done(err) // nil when a kill already errored this query
 	}
-}
-
-func (c *chaosReplica) Submit(cost int, done func()) {
-	c.SubmitErr(cost, func(error) { done() })
-}
-
-func (c *chaosReplica) SubmitBatchErr(costs []int, done func(error)) {
-	total := 0
-	for _, cost := range costs {
-		total += cost
-	}
-	c.SubmitErr(total, done)
 }
 
 // chaosScenario is one fault-injection experiment.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +20,9 @@ import (
 // engine.Core.AppendQueryArgs), so the same logical query always lands on
 // the same shard — which is what lets per-shard data locality, caches and
 // batches compose. The query layer sits *above* the cluster: batching,
-// dedup and the attribute cache see one Backend; the cluster fans batches
-// out per shard underneath (RoutedBatch) and masks replica faults before
-// the layer ever observes them.
+// dedup and the attribute cache see one Backend; the cluster fans each
+// Exec out per shard underneath and masks replica faults before the layer
+// ever observes them. It is the only Backend that reads Query.Hash.
 //
 // Failure semantics: an attempt that errors or exceeds Deadline is retried
 // on a different replica, up to Retries times, with exponential backoff.
@@ -34,7 +35,6 @@ import (
 type Cluster struct {
 	cfg    ClusterConfig
 	shards []*cshard
-	seq    atomic.Uint64 // spreads unroutable queries over shards
 
 	hedges     atomic.Uint64
 	hedgeWins  atomic.Uint64
@@ -42,7 +42,7 @@ type Cluster struct {
 	timeoutsN  atomic.Uint64
 	errorsN    atomic.Uint64
 	failed     atomic.Uint64
-	subBatches atomic.Uint64 // per-shard sub-batches cut from routed batches
+	subBatches atomic.Uint64 // per-shard sub-batches cut from combined round trips
 }
 
 // ClusterConfig configures a Cluster. The zero value of every optional
@@ -52,9 +52,8 @@ type ClusterConfig struct {
 	Shards int
 	// Replicas is the number of backend copies per shard (default 1).
 	Replicas int
-	// New constructs the backend of (shard, replica); required. Backends
-	// implementing Fallible/FallibleBatch report faults the cluster can
-	// retry around; plain backends are treated as infallible.
+	// New constructs the backend of (shard, replica); required. The faults
+	// it reports are what the cluster retries around.
 	New func(shard, replica int) Backend
 	// LB selects the replica load-balancing policy (default RoundRobin).
 	LB LBPolicy
@@ -127,88 +126,54 @@ func (cl *Cluster) shardFor(hash uint64) *cshard {
 	return cl.shards[jumpHash(hash, len(cl.shards))]
 }
 
-// nextHash spreads queries without a sharing identity uniformly.
-func (cl *Cluster) nextHash() uint64 { return splitmix64(cl.seq.Add(1)) }
-
-// Submit routes an unidentified query to an arbitrary shard; faults are
-// masked by retries but unreportable on this path.
-func (cl *Cluster) Submit(cost int, done func()) {
-	cl.start(cl.shardFor(cl.nextHash()), cost, nil, func(error) { done() })
-}
-
-// SubmitErr routes an unidentified query with fault reporting.
-func (cl *Cluster) SubmitErr(cost int, done func(error)) {
-	cl.start(cl.shardFor(cl.nextHash()), cost, nil, done)
-}
-
-// SubmitRouted places the query on its consistent shard by sharing-identity
-// hash.
-func (cl *Cluster) SubmitRouted(hash uint64, cost int, done func(error)) {
-	cl.start(cl.shardFor(hash), cost, nil, done)
-}
-
-// SubmitBatch executes the combined batch on one (arbitrary) shard: a
-// single sub-batch, one round-trip amortization, faults masked.
-func (cl *Cluster) SubmitBatch(costs []int, done func()) {
-	cl.start(cl.shardFor(cl.nextHash()), 0, costs, func(error) { done() })
-}
-
-// SubmitBatchErr is SubmitBatch with fault reporting.
-func (cl *Cluster) SubmitBatchErr(costs []int, done func(error)) {
-	cl.start(cl.shardFor(cl.nextHash()), 0, costs, done)
-}
-
-// SubmitRoutedBatch fans one combined batch out per shard: members are
-// grouped by their identity hash, each group executes as one sub-batch on
-// its shard (with the full retry/hedge machinery), and each member's
-// callback fires as its group lands — fast shards don't wait for slow
-// ones.
-func (cl *Cluster) SubmitRoutedBatch(hashes []uint64, costs []int, each func(i int, err error)) {
+// Exec places every member on its consistent shard by Query.Hash. A lone
+// query executes as itself; several are grouped by shard, each group
+// executing as one sub-batch on its shard (with the full retry/hedge
+// machinery), and each member's callback fires as its group lands — fast
+// shards don't wait for slow ones.
+func (cl *Cluster) Exec(qs []Query, each func(i int, err error)) {
 	n := len(cl.shards)
-	if n == 1 {
-		cl.start(cl.shards[0], 0, costs, func(err error) {
-			for i := range costs {
-				each(i, err)
-			}
-		})
+	switch {
+	case len(qs) == 1:
+		cl.start(cl.shardFor(qs[0].Hash), qs, nil, each)
+		return
+	case n == 1:
+		cl.start(cl.shards[0], slices.Clone(qs), nil, each)
 		return
 	}
 	groups := make([][]int, n)
-	for i, h := range hashes {
-		s := jumpHash(h, n)
+	for i, q := range qs {
+		s := jumpHash(q.Hash, n)
 		groups[s] = append(groups[s], i)
 	}
 	for s, members := range groups {
-		switch {
-		case len(members) == 0:
-		case len(members) == 1:
+		switch len(members) {
+		case 0:
+		case 1:
 			i := members[0]
-			cl.start(cl.shards[s], costs[i], nil, func(err error) { each(i, err) })
+			cl.start(cl.shards[s], qs[i:i+1], members, each)
 		default:
-			members := members
-			sub := make([]int, len(members))
+			sub := make([]Query, len(members))
 			for j, i := range members {
-				sub[j] = costs[i]
+				sub[j] = qs[i]
 			}
-			cl.start(cl.shards[s], 0, sub, func(err error) {
-				for _, i := range members {
-					each(i, err)
-				}
-			})
+			cl.start(cl.shards[s], sub, members, each)
 		}
 	}
 }
 
 // --- per-query lifecycle ---
 
-// call is one logical query's journey through the cluster: up to
-// 1 + Retries attempts plus at most one hedge, first success wins.
+// call is one logical query's (or sub-batch's) journey through the
+// cluster: up to 1 + Retries attempts plus at most one hedge, first success
+// wins. Its outcome is delivered to every member.
 type call struct {
-	cl    *Cluster
-	sh    *cshard
-	cost  int
-	costs []int // non-nil for a sub-batch
-	done  func(error)
+	cl   *Cluster
+	sh   *cshard
+	qs   []Query // the members: one[:] for a lone query, else the call's own copy
+	one  [1]Query
+	idx  []int // qs[j] is the caller's member idx[j]; nil means j
+	each func(int, error)
 
 	mu          sync.Mutex
 	settled     bool
@@ -232,19 +197,25 @@ type attempt struct {
 	deadline *time.Timer
 }
 
-// start launches one logical query (or sub-batch) on the shard.
-func (cl *Cluster) start(sh *cshard, cost int, costs []int, done func(error)) {
-	c := &call{cl: cl, sh: sh, cost: cost, costs: costs, done: done, retriesLeft: cl.cfg.Retries}
-	if costs != nil {
+// start launches one logical query or sub-batch on the shard. A lone query
+// is copied into the call; a sub-batch's qs must already be the call's own
+// (attempts outlive the caller's Exec).
+func (cl *Cluster) start(sh *cshard, qs []Query, idx []int, each func(int, error)) {
+	c := &call{cl: cl, sh: sh, idx: idx, each: each, retriesLeft: cl.cfg.Retries}
+	if len(qs) == 1 {
+		c.one[0] = qs[0]
+		c.qs = c.one[:]
+	} else {
+		c.qs = qs
 		cl.subBatches.Add(1)
 	}
 	c.mu.Lock()
-	exec := c.launchLocked(false)
+	at := c.launchLocked(false)
 	if delay := cl.hedgeDelay(sh); delay > 0 && len(sh.replicas) > 1 {
 		c.hedgeTimer = time.AfterFunc(delay, c.hedge)
 	}
 	c.mu.Unlock()
-	exec()
+	c.exec(at)
 }
 
 // hedgeDelay resolves the hedge trigger: fixed, or the shard's observed
@@ -260,10 +231,10 @@ func (cl *Cluster) hedgeDelay(sh *cshard) time.Duration {
 }
 
 // launchLocked prepares one attempt: picks a replica (preferring untried,
-// breaker-admitted ones), marks it tried, arms the deadline. It returns
-// the submission closure, to invoke after releasing the lock — backends
-// may complete synchronously, and the completion path takes the lock.
-func (c *call) launchLocked(isHedge bool) func() {
+// breaker-admitted ones), marks it tried, arms the deadline. The caller
+// submits it with exec after releasing the lock — backends may complete
+// synchronously, and the completion path takes the lock.
+func (c *call) launchLocked(isHedge bool) *attempt {
 	now := time.Now()
 	rep := c.sh.pick(c.cl.cfg.LB, c.tried, now.UnixNano())
 	if i := c.sh.index(rep); i >= 0 {
@@ -274,9 +245,12 @@ func (c *call) launchLocked(isHedge bool) func() {
 	if d := c.cl.cfg.Deadline; d > 0 {
 		at.deadline = time.AfterFunc(d, func() { c.timeout(at) })
 	}
-	return func() {
-		rep.exec(c.cost, c.costs, func(err error) { c.finish(at, err) })
-	}
+	return at
+}
+
+// exec submits a prepared attempt to its replica.
+func (c *call) exec(at *attempt) {
+	at.rep.exec(c.qs, func(err error) { c.finish(at, err) })
 }
 
 // finish is an attempt's completion path. Errors and latencies feed the
@@ -348,9 +322,9 @@ func (c *call) hedge() {
 	}
 	c.hedged = true
 	c.cl.hedges.Add(1)
-	exec := c.launchLocked(true)
+	at := c.launchLocked(true)
 	c.mu.Unlock()
-	exec()
+	c.exec(at)
 }
 
 // resolveFailureLocked decides what a failed/timed-out attempt means for
@@ -373,9 +347,9 @@ func (c *call) resolveFailureLocked() {
 			time.AfterFunc(backoff, c.retry)
 			return
 		}
-		exec := c.launchLocked(false)
+		at := c.launchLocked(false)
 		c.mu.Unlock()
-		exec()
+		c.exec(at)
 		return
 	}
 	c.settleLocked(c.lastErr, false)
@@ -396,9 +370,9 @@ func (c *call) retry() {
 		c.mu.Unlock()
 		return
 	}
-	exec := c.launchLocked(false)
+	at := c.launchLocked(false)
 	c.mu.Unlock()
-	exec()
+	c.exec(at)
 }
 
 // settleLocked delivers the call's terminal outcome exactly once. Called
@@ -415,7 +389,13 @@ func (c *call) settleLocked(err error, hedgeWon bool) {
 	if err != nil {
 		c.cl.failed.Add(1)
 	}
-	c.done(err)
+	for j := range c.qs {
+		i := j
+		if c.idx != nil {
+			i = c.idx[j]
+		}
+		c.each(i, err)
+	}
 }
 
 // --- stats ---
@@ -452,7 +432,7 @@ type ClusterStats struct {
 	// Failed counts queries whose every attempt failed — the only case a
 	// fault surfaces to the caller.
 	Failed uint64
-	// SubBatches counts per-shard sub-batches cut from routed batches.
+	// SubBatches counts per-shard sub-batches cut from combined round trips.
 	SubBatches uint64
 	// Replica is the per-[shard][replica] breakdown.
 	Replica [][]ReplicaStats

@@ -11,8 +11,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// fakeReplica is a scripted Fallible backend: submission n behaves as
-// script(n) says — a delay (negative = stall forever) and an error.
+// fakeReplica is a scripted backend: round trip n (a lone query or a
+// whole sub-batch) behaves as script(n) says — a delay (negative = stall
+// forever) and an error shared by every member.
 type fakeReplica struct {
 	mu     sync.Mutex
 	n      int
@@ -25,32 +26,25 @@ func (f *fakeReplica) calls() int {
 	return f.n
 }
 
-func (f *fakeReplica) SubmitErr(cost int, done func(error)) {
+func (f *fakeReplica) Exec(qs []Query, each func(int, error)) {
 	f.mu.Lock()
 	n := f.n
 	f.n++
 	f.mu.Unlock()
 	d, err := f.script(n)
+	members := len(qs)
+	done := func() {
+		for i := range members {
+			each(i, err)
+		}
+	}
 	switch {
 	case d < 0: // stall: never complete
 	case d == 0:
-		done(err)
+		done()
 	default:
-		time.AfterFunc(d, func() { done(err) })
+		time.AfterFunc(d, done)
 	}
-}
-
-func (f *fakeReplica) Submit(cost int, done func()) {
-	f.SubmitErr(cost, func(error) { done() })
-}
-
-// SubmitBatchErr executes the sub-batch as one scripted submission.
-func (f *fakeReplica) SubmitBatchErr(costs []int, done func(error)) {
-	total := 0
-	for _, c := range costs {
-		total += c
-	}
-	f.SubmitErr(total, done)
 }
 
 // always returns a constant script.
@@ -58,12 +52,12 @@ func always(d time.Duration, err error) func(int) (time.Duration, error) {
 	return func(int) (time.Duration, error) { return d, err }
 }
 
-// submitWait drives one SubmitErr through the cluster and returns the
+// submitWait drives one query through the cluster and returns the
 // terminal error.
 func submitWait(t *testing.T, cl *Cluster, cost int) error {
 	t.Helper()
 	ch := make(chan error, 1)
-	cl.SubmitErr(cost, func(err error) { ch <- err })
+	cl.Exec([]Query{{Cost: cost}}, func(_ int, err error) { ch <- err })
 	select {
 	case err := <-ch:
 		return err
@@ -334,9 +328,9 @@ func TestClusterHedgeWinsOverSlowReplica(t *testing.T) {
 	}
 }
 
-// TestClusterRoutedBatchFansOutPerShard: members group by hash; each
-// member's callback fires exactly once.
-func TestClusterRoutedBatchFansOutPerShard(t *testing.T) {
+// TestClusterExecFansOutPerShard: members group by hash; each member's
+// callback fires exactly once.
+func TestClusterExecFansOutPerShard(t *testing.T) {
 	var subs atomic.Int64
 	cl := NewCluster(ClusterConfig{
 		Shards: 4, Replicas: 1,
@@ -348,16 +342,14 @@ func TestClusterRoutedBatchFansOutPerShard(t *testing.T) {
 		},
 	})
 	const n = 64
-	hashes := make([]uint64, n)
-	costs := make([]int, n)
-	for i := range hashes {
-		hashes[i] = splitmix64(uint64(i))
-		costs[i] = 1
+	qs := make([]Query, n)
+	for i := range qs {
+		qs[i] = Query{Hash: splitmix64(uint64(i)), Cost: 1}
 	}
 	var wg sync.WaitGroup
 	wg.Add(n)
 	var fired [n]atomic.Int64
-	cl.SubmitRoutedBatch(hashes, costs, func(i int, err error) {
+	cl.Exec(qs, func(i int, err error) {
 		if err != nil {
 			t.Errorf("member %d: %v", i, err)
 		}

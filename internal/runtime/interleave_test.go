@@ -51,12 +51,16 @@ func newAdversarialBackend(mode adversaryMode, seed int64) *adversarialBackend {
 	return b
 }
 
-func (b *adversarialBackend) Submit(cost int, done func()) { b.hold(done) }
-
-// SubmitBatch participates in the dispatcher's batching: the whole batch
-// completes as one unit, at an adversarial position among other pending
-// completions.
-func (b *adversarialBackend) SubmitBatch(costs []int, done func()) { b.hold(done) }
+// Exec holds the round trip: a whole batch completes as one unit, at an
+// adversarial position among other pending completions.
+func (b *adversarialBackend) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
+	b.hold(func() {
+		for i := range n {
+			each(i, nil)
+		}
+	})
+}
 
 func (b *adversarialBackend) hold(done func()) {
 	b.mu.Lock()

@@ -87,7 +87,13 @@ type gateBackend struct {
 	held []func()
 }
 
-func (g *gateBackend) Submit(cost int, done func()) {
+func (g *gateBackend) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
+	done := func() {
+		for i := range n {
+			each(i, nil)
+		}
+	}
 	g.mu.Lock()
 	if g.shut {
 		g.held = append(g.held, done)

@@ -264,13 +264,6 @@ func (sh *shard) recordShadow(r *engine.Result) {
 	sh.mu.Unlock()
 }
 
-// clusterStatser is the Backend capability of reporting cluster stats
-// (implemented by Cluster).
-type clusterStatser interface {
-	ClusterStats() ClusterStats
-	ResetStats()
-}
-
 // Stats merges all shards into an aggregate snapshot.
 func (s *Service) Stats() Stats {
 	st := Stats{Submitted: s.submitted.Load(), Scheduled: s.scheduled.Load(), ShadowSubmitted: s.shadowSubmitted.Load()}
@@ -286,8 +279,8 @@ func (s *Service) Stats() Stats {
 		st.PeerFallbacks = d.peerFallbacks.Load()
 		st.PeerServed = d.peerServed.Load()
 	}
-	if cs, ok := s.cfg.Backend.(clusterStatser); ok {
-		c := cs.ClusterStats()
+	if s.cluster != nil {
+		c := s.cluster.ClusterStats()
 		st.Cluster = &c
 		st.Hedges = c.Hedges
 		st.HedgeWins = c.HedgeWins
@@ -432,8 +425,8 @@ func (s *Service) ResetStats() {
 		d.peerFallbacks.Store(0)
 		d.peerServed.Store(0)
 	}
-	if cs, ok := s.cfg.Backend.(clusterStatser); ok {
-		cs.ResetStats()
+	if s.cluster != nil {
+		s.cluster.ResetStats()
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]

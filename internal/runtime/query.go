@@ -26,9 +26,7 @@ import (
 // and each instance still materializes the value from its own inputs.
 type QueryConfig struct {
 	// BatchSize > 1 coalesces up to that many in-flight launches into one
-	// combined backend call (the size trigger). Backends implementing
-	// BatchExec execute the batch as a single round trip; others receive
-	// the members individually (same semantics, no amortization).
+	// combined backend round trip (the size trigger): one Exec call.
 	BatchSize int
 	// BatchWindow is the deadline trigger: the cap on how long a partial
 	// batch waits for company. It is the fallback — a batch is cut as soon
@@ -148,33 +146,26 @@ func hashPrefix(schema *core.Schema, id core.AttrID) uint64 {
 // flight is one query on its way to the backend, with every completion
 // callback waiting on it. dones is guarded by the owning shard's lock for
 // keyed flights; unkeyed flights have exactly one waiter and no sharing.
-// hash is the sharing-identity hash (a sequence-spread value for unkeyed
-// flights), used for lock-domain selection here and consistent shard
-// placement in a routed backend.
+// q[0].Hash is the sharing-identity hash (a sequence-spread value for
+// unkeyed flights), used for lock-domain selection here and consistent
+// shard placement in a Cluster; a flight cut alone is handed to the
+// backend as q[:].
 type flight struct {
 	key   queryKey
 	keyed bool
-	hash  uint64
-	cost  int
+	q     [1]Query
 	dones []func(error)
 }
 
 // dispatcher implements the shared query layer. It is created only when
-// QueryConfig.enabled(); a nil dispatcher means the pre-existing direct
-// Submit path.
+// QueryConfig.enabled(); a nil dispatcher means launches take the direct
+// path (inst.launch).
 type dispatcher struct {
 	backend Backend
 	cfg     QueryConfig
-	// Backend capabilities, resolved once: routed backends (Cluster) get
-	// each flight's identity hash for consistent shard placement and fan
-	// batches out per shard; fallible ones report failures, which fan out
-	// to every waiter (shared fate, like any single-flight result).
-	routed      Routed
-	routedBatch RoutedBatch
-	fallible    Fallible
-	batchExec   BatchExec
-	seq         atomic.Uint64 // spreads unkeyed flights over routed shards
-	shards      []qshard
+	placed  bool          // the backend places by Query.Hash (a Cluster)
+	seq     atomic.Uint64 // spreads unkeyed flights over shards
+	shards  []qshard
 
 	// peer is the optional front-end peer router, consulted before the
 	// local sharing tables so every keyed query is classified at its one
@@ -220,7 +211,7 @@ type qshard struct {
 	cache    lru
 }
 
-func newDispatcher(backend Backend, limit int, cfg QueryConfig) *dispatcher {
+func newDispatcher(backend Backend, placed bool, limit int, cfg QueryConfig) *dispatcher {
 	if cfg.BatchSize > 1 && cfg.BatchWindow <= 0 {
 		cfg.BatchWindow = 200 * time.Microsecond
 	}
@@ -230,13 +221,10 @@ func newDispatcher(backend Backend, limit int, cfg QueryConfig) *dispatcher {
 	d := &dispatcher{
 		backend: backend,
 		cfg:     cfg,
+		placed:  placed,
 		limit:   limit,
 		shards:  make([]qshard, cfg.CacheShards),
 	}
-	d.routed, _ = backend.(Routed)
-	d.routedBatch, _ = backend.(RoutedBatch)
-	d.fallible, _ = backend.(Fallible)
-	d.batchExec, _ = backend.(BatchExec)
 	perShard := 0
 	if cfg.CacheSize > 0 {
 		perShard = max(1, cfg.CacheSize/cfg.CacheShards)
@@ -260,9 +248,9 @@ func (d *dispatcher) shard(hash uint64) *qshard {
 
 // needsKey reports whether launches should render their sharing identity:
 // for the dedup/cache tables, or — even with both off — for consistent
-// shard placement on a routed backend.
+// shard placement on a Cluster.
 func (d *dispatcher) needsKey() bool {
-	return d.cfg.Dedup || d.cfg.CacheSize > 0 || d.routed != nil
+	return d.cfg.Dedup || d.cfg.CacheSize > 0 || d.placed
 }
 
 // Submit routes one foreign-task launch. done is invoked exactly once when
@@ -297,7 +285,7 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 		d.submitKeyed(key, hash, cost, done)
 		return
 	}
-	d.enqueue(&flight{hash: splitmix64(d.seq.Add(1)), cost: cost, dones: []func(error){done}})
+	d.enqueue(&flight{q: [1]Query{{Hash: splitmix64(d.seq.Add(1)), Cost: cost}}, dones: []func(error){done}})
 }
 
 // submitKeyed is the local keyed path: cache lookup, single-flight attach,
@@ -307,10 +295,10 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 // cannot loop.
 func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(error)) {
 	if !d.cfg.Dedup && d.cfg.CacheSize == 0 {
-		// Keyed purely for routing (batching-only layer over a routed
-		// backend): no sharing tables to consult, and exactly one
+		// Keyed purely for placement (batching-only layer over a
+		// Cluster): no sharing tables to consult, and exactly one
 		// waiter — but the identity hash still pins the shard.
-		d.enqueue(&flight{hash: hash, cost: cost, dones: []func(error){done}})
+		d.enqueue(&flight{q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}})
 		return
 	}
 	sh := d.shard(hash)
@@ -330,7 +318,7 @@ func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(
 			d.dedupHits.Add(1)
 			return
 		}
-		f := &flight{key: key, keyed: true, hash: hash, cost: cost, dones: []func(error){done}}
+		f := &flight{key: key, keyed: true, q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}}
 		sh.inflight[key] = f
 		sh.mu.Unlock()
 		// A miss is a cache lookup that reaches the backend: dedup
@@ -345,7 +333,7 @@ func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(
 	if d.cfg.CacheSize > 0 {
 		d.cacheMisses.Add(1)
 	}
-	d.enqueue(&flight{key: key, keyed: true, hash: hash, cost: cost, dones: []func(error){done}})
+	d.enqueue(&flight{key: key, keyed: true, q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}})
 }
 
 // hold and release move the busy gauge — no-ops unless batching is on (a
@@ -419,77 +407,28 @@ func (d *dispatcher) cut(cause *atomic.Uint64) {
 	d.flush(batch, cause)
 }
 
-// submitOne routes one unbatched flight to the backend, preferring the
-// routed (consistent shard placement) and fallible (fault reporting)
-// capabilities.
-func (d *dispatcher) submitOne(f *flight) {
-	switch {
-	case d.routed != nil:
-		d.routed.SubmitRouted(f.hash, f.cost, func(err error) { d.complete(f, err) })
-	case d.fallible != nil:
-		d.fallible.SubmitErr(f.cost, func(err error) { d.complete(f, err) })
-	default:
-		d.backend.Submit(f.cost, func() { d.complete(f, nil) })
-	}
-}
-
-// flush submits one cut batch to the backend, on the goroutine that cut it:
-// the launcher or completion that filled it, whoever took the busy gauge to
-// zero, or the deadline timer's. It may block on backend admission (e.g.
-// Latency.Parallel), which back-pressures later batches.
+// flush submits one cut batch to the backend as one Exec call, on the
+// goroutine that cut it: the launcher or completion that filled it, whoever
+// took the busy gauge to zero, or the deadline timer's. It may block on
+// backend admission (e.g. Latency.Parallel), which back-pressures later
+// batches. Batches counts dispatcher cuts; a Cluster's SubBatches counts
+// the shard trips it fans them out to.
 func (d *dispatcher) flush(batch []*flight, cause *atomic.Uint64) {
 	if len(batch) == 0 {
 		return
 	}
 	cause.Add(1)
+	d.batches.Add(1)
 	if len(batch) == 1 {
-		d.batches.Add(1)
-		d.submitOne(batch[0])
+		f := batch[0]
+		d.backend.Exec(f.q[:], func(_ int, err error) { d.complete(f, err) })
 		return
 	}
-	if d.routedBatch != nil {
-		// Sharded backend: the batch fans out per shard underneath; each
-		// member completes as its shard's sub-batch lands. Batches counts
-		// dispatcher cuts; the cluster's SubBatches counts shard trips.
-		hashes := make([]uint64, len(batch))
-		costs := make([]int, len(batch))
-		for i, f := range batch {
-			hashes[i] = f.hash
-			costs[i] = f.cost
-		}
-		d.batches.Add(1)
-		d.routedBatch.SubmitRoutedBatch(hashes, costs, func(i int, err error) {
-			d.complete(batch[i], err)
-		})
-		return
+	qs := make([]Query, len(batch))
+	for i, f := range batch {
+		qs[i] = f.q[0]
 	}
-	if d.batchExec != nil {
-		costs := make([]int, len(batch))
-		for i, f := range batch {
-			costs[i] = f.cost
-		}
-		d.batches.Add(1)
-		if fb, ok := d.batchExec.(FallibleBatch); ok {
-			fb.SubmitBatchErr(costs, func(err error) {
-				for _, f := range batch {
-					d.complete(f, err)
-				}
-			})
-			return
-		}
-		d.batchExec.SubmitBatch(costs, func() {
-			for _, f := range batch {
-				d.complete(f, nil)
-			}
-		})
-		return
-	}
-	// Backend has no batch capability: members travel individually — same
-	// completion semantics, no amortization.
-	d.batches.Add(uint64(len(batch)))
-	for _, f := range batch {
-		d.submitOne(f)
-	}
+	d.backend.Exec(qs, func(i int, err error) { d.complete(batch[i], err) })
 }
 
 // complete fans a finished flight out to its waiters, retiring it from the
@@ -515,7 +454,7 @@ func (d *dispatcher) complete(f *flight, err error) {
 	if f.keyed {
 		// f.dones of a keyed flight is only readable under the shard lock:
 		// dedup waiters append to it until the retirement below.
-		sh := d.shard(f.hash)
+		sh := d.shard(f.q[0].Hash)
 		sh.mu.Lock()
 		if d.cfg.Dedup {
 			delete(sh.inflight, f.key)

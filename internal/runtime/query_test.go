@@ -88,7 +88,7 @@ func TestLRUChurn(t *testing.T) {
 
 // --- dispatcher behavior against a live service ---
 
-// batchCountingBackend records individual and batched submissions.
+// batchCountingBackend records lone and combined round trips.
 type batchCountingBackend struct {
 	mu          sync.Mutex
 	submits     int
@@ -116,19 +116,21 @@ func (b *batchCountingBackend) exec(n int, done func()) {
 	})
 }
 
-func (b *batchCountingBackend) Submit(cost int, done func()) {
+func (b *batchCountingBackend) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
 	b.mu.Lock()
-	b.submits++
+	if n == 1 {
+		b.submits++
+	} else {
+		b.batches++
+		b.batchedQs += n
+	}
 	b.mu.Unlock()
-	b.exec(1, done)
-}
-
-func (b *batchCountingBackend) SubmitBatch(costs []int, done func()) {
-	b.mu.Lock()
-	b.batches++
-	b.batchedQs += len(costs)
-	b.mu.Unlock()
-	b.exec(len(costs), done)
+	b.exec(n, func() {
+		for i := range n {
+			each(i, nil)
+		}
+	})
 }
 
 // TestDedupSharesBackendRoundTrips serves many identical instances against
@@ -242,7 +244,7 @@ func TestCacheTTLExpiresEntries(t *testing.T) {
 }
 
 // TestBatchSizeTrigger asserts full batches go to the backend as one
-// BatchExec round trip.
+// combined round trip.
 func TestBatchSizeTrigger(t *testing.T) {
 	g := genPattern(t)
 	be := &batchCountingBackend{delay: time.Millisecond}

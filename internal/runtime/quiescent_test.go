@@ -20,8 +20,8 @@ import (
 // queries when the test says so, and every wait is on an event, guarded by
 // a timeout that only fires when the mechanism under test is broken.
 
-// tripGate is a batch-capable Backend that completes nothing on its own:
-// every round trip is handed to the test through arrivals.
+// tripGate is a Backend that completes nothing on its own: every round
+// trip is handed to the test through arrivals.
 type tripGate struct {
 	svc      *Service // set after New, before the first Submit
 	arrivals chan gated
@@ -39,10 +39,12 @@ type gated struct {
 
 func newGate() *tripGate { return &tripGate{arrivals: make(chan gated, 1024)} }
 
-func (g *tripGate) Submit(cost int, done func()) { g.SubmitBatch([]int{cost}, done) }
-
-func (g *tripGate) SubmitBatch(costs []int, done func()) {
-	n := len(costs)
+func (g *tripGate) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
+	costs := make([]int, n)
+	for i, q := range qs {
+		costs[i] = q.Cost
+	}
 	g.mu.Lock()
 	g.inUse += n
 	g.peak = max(g.peak, g.inUse)
@@ -51,7 +53,9 @@ func (g *tripGate) SubmitBatch(costs []int, done func()) {
 		g.mu.Lock()
 		g.inUse -= n
 		g.mu.Unlock()
-		done()
+		for i := range n {
+			each(i, nil)
+		}
 	}}
 }
 
@@ -409,7 +413,7 @@ func TestCompletionDeliversBeforeFlushingAdmits(t *testing.T) {
 	checkQueryIdentities(t, st)
 }
 
-// blockSecondBatch is a gate whose SubmitBatch, once until is set, blocks
+// blockSecondBatch is a gate whose Exec, once until is set, blocks
 // until a result arrives on it — a backend bound like Latency.Parallel
 // whose slot frees only when an earlier answer has been consumed.
 type blockSecondBatch struct {
@@ -418,7 +422,7 @@ type blockSecondBatch struct {
 	timedOut atomic.Bool
 }
 
-func (b *blockSecondBatch) SubmitBatch(costs []int, done func()) {
+func (b *blockSecondBatch) Exec(qs []Query, each func(int, error)) {
 	if b.until != nil {
 		select {
 		case <-b.until:
@@ -426,7 +430,7 @@ func (b *blockSecondBatch) SubmitBatch(costs []int, done func()) {
 			b.timedOut.Store(true)
 		}
 	}
-	b.tripGate.SubmitBatch(costs, done)
+	b.tripGate.Exec(qs, each)
 }
 
 // TestCutCausesAccountForEveryBatch serves a mixed load on real timers —

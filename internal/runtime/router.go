@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -238,14 +239,11 @@ func (h *latHist) quantile(q float64, minSamples uint64) time.Duration {
 
 // --- replica ---
 
-// replica is one backend copy within a shard: the backend itself with its
-// capabilities resolved once, the in-flight gauge the balancers read, the
-// circuit breaker, and its traffic counters.
+// replica is one backend copy within a shard: the backend itself, the
+// in-flight gauge the balancers read, the circuit breaker, and its traffic
+// counters.
 type replica struct {
-	be      Backend
-	fe      Fallible      // nil when the backend cannot report errors
-	feBatch FallibleBatch // nil when it cannot report batch errors
-	batch   BatchExec     // nil when it cannot combine round trips
+	be Backend
 
 	inFlight atomic.Int64
 	brk      breaker
@@ -257,60 +255,42 @@ type replica struct {
 
 func newReplica(be Backend, breakAfter int32, cooldown time.Duration) *replica {
 	r := &replica{be: be}
-	r.fe, _ = be.(Fallible)
-	r.feBatch, _ = be.(FallibleBatch)
-	r.batch, _ = be.(BatchExec)
 	r.brk.after = breakAfter
 	r.brk.cooldown = cooldown
 	return r
 }
 
-// exec submits one attempt — a single query (costs nil) or a combined
-// sub-batch — and reports its outcome. Backends without error reporting
-// are treated as infallible; sub-batches on backends without batch support
-// fan out to member submissions and report the first member error after
-// all members land.
-func (r *replica) exec(cost int, costs []int, done func(error)) {
+// exec submits one attempt — a single query or a combined sub-batch — and
+// reports its outcome once every member has: the first error any member
+// reported, or nil.
+func (r *replica) exec(qs []Query, done func(error)) {
 	r.queries.Add(1)
 	r.inFlight.Add(1)
-	wrapped := func(err error) {
-		r.inFlight.Add(-1)
-		done(err)
+	if len(qs) == 1 {
+		r.be.Exec(qs, func(_ int, err error) {
+			r.inFlight.Add(-1)
+			done(err)
+		})
+		return
 	}
-	switch {
-	case costs == nil && r.fe != nil:
-		r.fe.SubmitErr(cost, wrapped)
-	case costs == nil:
-		r.be.Submit(cost, func() { wrapped(nil) })
-	case r.feBatch != nil:
-		r.feBatch.SubmitBatchErr(costs, wrapped)
-	case r.batch != nil:
-		r.batch.SubmitBatch(costs, func() { wrapped(nil) })
-	default:
-		// No batch capability: members travel individually; the sub-batch
-		// completes when the last member lands, reporting any one error.
-		var (
-			left     atomic.Int64
-			firstErr atomic.Value
-		)
-		left.Store(int64(len(costs)))
-		for _, c := range costs {
-			memberDone := func(err error) {
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-				}
-				if left.Add(-1) == 0 {
-					err, _ := firstErr.Load().(error)
-					wrapped(err)
-				}
-			}
-			if r.fe != nil {
-				r.fe.SubmitErr(c, memberDone)
-			} else {
-				r.be.Submit(c, func() { memberDone(nil) })
-			}
+	var (
+		mu    sync.Mutex
+		left  = len(qs)
+		first error
+	)
+	r.be.Exec(qs, func(_ int, err error) {
+		mu.Lock()
+		left--
+		if first == nil {
+			first = err
 		}
-	}
+		last, err := left == 0, first
+		mu.Unlock()
+		if last {
+			r.inFlight.Add(-1)
+			done(err)
+		}
+	})
 }
 
 // --- shard-level replica selection ---

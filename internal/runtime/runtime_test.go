@@ -194,18 +194,21 @@ type countingBackend struct {
 	peak    int
 }
 
-func (c *countingBackend) Submit(cost int, done func()) {
+func (c *countingBackend) Exec(qs []Query, each func(int, error)) {
+	n := len(qs)
 	c.mu.Lock()
-	c.current++
+	c.current += n
 	if c.current > c.peak {
 		c.peak = c.current
 	}
 	c.mu.Unlock()
 	time.AfterFunc(50*time.Microsecond, func() {
 		c.mu.Lock()
-		c.current--
+		c.current -= n
 		c.mu.Unlock()
-		done()
+		for i := range n {
+			each(i, nil)
+		}
 	})
 }
 

@@ -109,12 +109,11 @@ type Service struct {
 	active  sync.WaitGroup // one count per unretired instance
 	workers sync.WaitGroup
 
-	// Backend capabilities, resolved once. routed backends (Cluster) get
-	// the query's sharing-identity hash for consistent shard placement;
-	// fallible ones report failures, which complete the task as failed
-	// (value ⟂) instead of silently succeeding.
-	routed   Routed
-	fallible Fallible
+	// cluster is the backend when it is a *Cluster — the one Backend that
+	// reads Query.Hash, so only then does a launch without sharing tables
+	// to consult render its sharing identity (for consistent shard
+	// placement) — and the source of Stats.Cluster.
+	cluster  *Cluster
 	routeSeq atomic.Uint64 // spreads unroutable direct launches over shards
 
 	// closeMu makes Submit and Close safe to race: submits hold the read
@@ -153,10 +152,9 @@ func New(cfg Config) *Service {
 		s.shards[i].window = cfg.LatencyWindow
 		s.shards[i].lats.window = cfg.LatencyWindow
 	}
-	s.routed, _ = cfg.Backend.(Routed)
-	s.fallible, _ = cfg.Backend.(Fallible)
+	s.cluster, _ = cfg.Backend.(*Cluster)
 	if cfg.Query.enabled() {
-		s.disp = newDispatcher(cfg.Backend, cfg.MaxInFlightTasks, cfg.Query)
+		s.disp = newDispatcher(cfg.Backend, s.cluster != nil, cfg.MaxInFlightTasks, cfg.Query)
 	}
 	s.unhold = s.disp.release
 	s.runq.cond.L = &s.runq.mu
@@ -422,11 +420,13 @@ type inst struct {
 	res         engine.Result
 	outstanding int // backend tasks submitted but not yet completed
 	finalized   bool
-	// doneFns caches one completion closure per attribute so steady-state
-	// launches allocate nothing; okFns are their error-less adapters for
-	// backends without outcome reporting.
+	// doneFns (query layer) and execFns (direct path) cache one completion
+	// closure per attribute so steady-state launches allocate nothing; a
+	// service uses one of the two.
 	doneFns []func(error)
-	okFns   []func()
+	execFns []func(int, error)
+	// q is the direct path's Exec argument; backends do not retain it.
+	q [1]Query
 	// keyBuf is the scratch buffer for rendering query sharing identities.
 	keyBuf []byte
 }
@@ -542,8 +542,7 @@ func (in *inst) drive(sh *shard) (retire bool) {
 	for _, id := range launches {
 		cost, _ := in.core.Book(id)
 		in.outstanding++
-		done := in.doneFn(id)
-		in.launch(id, cost, done)
+		in.launch(id, cost)
 	}
 	return false
 }
@@ -556,17 +555,16 @@ func (in *inst) drive(sh *shard) (retire bool) {
 // (deduplicated and cached launches hit no database, so they bypass
 // admission) and never blocks the owner: a query over the bound parks in
 // the dispatcher and the instance awaits its completion like any other.
-func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
-	d := in.svc.disp
+func (in *inst) launch(id core.AttrID, cost int) {
+	svc := in.svc
+	d := svc.disp
 	if d == nil {
-		svc := in.svc
 		svc.adm.acquire() // global admission; blocks under overload
-		switch {
-		case svc.routed != nil:
+		var h uint64
+		if svc.cluster != nil {
 			// Sharded backend: place by sharing identity so the same
 			// logical query consistently lands on the same shard; volatile
 			// (unroutable) launches spread by sequence instead.
-			var h uint64
 			var keyed bool
 			in.keyBuf, keyed = in.core.AppendQueryArgs(id, in.keyBuf[:0])
 			if keyed {
@@ -574,12 +572,9 @@ func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 			} else {
 				h = splitmix64(svc.routeSeq.Add(1))
 			}
-			svc.routed.SubmitRouted(h, cost, done)
-		case svc.fallible != nil:
-			svc.fallible.SubmitErr(cost, done)
-		default:
-			svc.cfg.Backend.Submit(cost, in.okFn(id))
 		}
+		in.q[0] = Query{Hash: h, Cost: cost}
+		svc.cfg.Backend.Exec(in.q[:], in.execFn(id))
 		return
 	}
 	var key queryKey
@@ -590,7 +585,7 @@ func (in *inst) launch(id core.AttrID, cost int, done func(error)) {
 			key = queryKey{schema: in.req.Schema, id: id, args: string(in.keyBuf)}
 		}
 	}
-	d.Submit(key, keyed, cost, done)
+	d.Submit(key, keyed, cost, in.doneFn(id))
 }
 
 // abort terminates the instance early on cancellation: waste accounting is
@@ -643,37 +638,33 @@ func (in *inst) retire() {
 	svc.active.Done()
 }
 
-// doneFn returns the cached completion closure for the attribute.
+// doneFn returns the query layer's cached completion closure for the
+// attribute.
 func (in *inst) doneFn(id core.AttrID) func(error) {
-	if int(id) >= len(in.doneFns) {
-		grown := make([]func(error), in.req.Schema.NumAttrs())
-		copy(grown, in.doneFns)
-		in.doneFns = grown
-	}
+	in.doneFns = growFns(in.doneFns, id, in.req.Schema)
 	if in.doneFns[id] == nil {
-		id := id
-		if in.svc.disp != nil {
-			in.doneFns[id] = func(err error) { in.svc.taskDoneShared(in, id, err) }
-		} else {
-			in.doneFns[id] = func(err error) { in.svc.taskDone(in, id, err) }
-		}
+		in.doneFns[id] = func(err error) { in.svc.taskDoneShared(in, id, err) }
 	}
 	return in.doneFns[id]
 }
 
-// okFn returns the cached error-less adapter for the attribute, used with
-// backends that cannot report outcomes.
-func (in *inst) okFn(id core.AttrID) func() {
-	if int(id) >= len(in.okFns) {
-		grown := make([]func(), in.req.Schema.NumAttrs())
-		copy(grown, in.okFns)
-		in.okFns = grown
+// execFn returns the direct path's cached Exec callback for the attribute.
+func (in *inst) execFn(id core.AttrID) func(int, error) {
+	in.execFns = growFns(in.execFns, id, in.req.Schema)
+	if in.execFns[id] == nil {
+		in.execFns[id] = func(_ int, err error) { in.svc.taskDone(in, id, err) }
 	}
-	if in.okFns[id] == nil {
-		fn := in.doneFns[id] // doneFn ran first: launch resolves it before routing
-		in.okFns[id] = func() { fn(nil) }
+	return in.execFns[id]
+}
+
+// growFns sizes a per-attribute closure cache to cover id.
+func growFns[F any](fns []F, id core.AttrID, schema *core.Schema) []F {
+	if int(id) < len(fns) {
+		return fns
 	}
-	return in.okFns[id]
+	grown := make([]F, schema.NumAttrs())
+	copy(grown, fns)
+	return grown
 }
 
 // --- run queue ---

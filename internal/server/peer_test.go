@@ -146,7 +146,13 @@ type gateBackend struct {
 	parked  []func()
 }
 
-func (g *gateBackend) Submit(cost int, done func()) {
+func (g *gateBackend) Exec(qs []runtime.Query, each func(int, error)) {
+	n := len(qs)
+	done := func() {
+		for i := range n {
+			each(i, nil)
+		}
+	}
 	g.mu.Lock()
 	if g.stalled {
 		g.parked = append(g.parked, done)
