@@ -13,8 +13,9 @@ import (
 // benchmark's run-to-run noise.
 
 // instanceAllocs serves warm-up instances on cfg, then reports the mean
-// allocations of one more.
-func instanceAllocs(t *testing.T, cfg Config) float64 {
+// allocations of one more — submitted through SubmitCancel, keeping its
+// Handle, when withHandle is set.
+func instanceAllocs(t *testing.T, cfg Config, withHandle bool) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -34,7 +35,13 @@ func instanceAllocs(t *testing.T, cfg Config) float64 {
 		},
 	}
 	run := func() {
-		if err := svc.Submit(req); err != nil {
+		var err error
+		if withHandle {
+			lastHandle, err = svc.SubmitCancel(req)
+		} else {
+			err = svc.Submit(req)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		<-done
@@ -55,7 +62,23 @@ func checkAllocs(t *testing.T, got float64, limit float64) {
 
 // TestAllocsDirectInstant pins the direct path over Instant.
 func TestAllocsDirectInstant(t *testing.T) {
-	checkAllocs(t, instanceAllocs(t, Config{Backend: Instant{}}), allocsDirectInstant)
+	checkAllocs(t, instanceAllocs(t, Config{Backend: Instant{}}, false), allocsDirectInstant)
+}
+
+// lastHandle keeps TestAllocsSubmitCancel's handles live, so the compiler
+// cannot drop whatever building one costs.
+var lastHandle Handle
+
+// TestAllocsSubmitCancel pins the cancel handle: an instance submitted
+// through SubmitCancel allocates no more than one through Submit, so a
+// front end can keep a handle per instance for free.
+func TestAllocsSubmitCancel(t *testing.T) {
+	plain := instanceAllocs(t, Config{Backend: Instant{}}, false)
+	handled := instanceAllocs(t, Config{Backend: Instant{}}, true)
+	t.Logf("%.0f allocs per instance through Submit, %.0f through SubmitCancel", plain, handled)
+	if handled > plain {
+		t.Fatalf("SubmitCancel costs %.0f allocs per instance more than Submit", handled-plain)
+	}
 }
 
 // TestAllocsDirectCluster pins the direct path over a 2×2 cluster of
@@ -66,14 +89,14 @@ func TestAllocsDirectCluster(t *testing.T) {
 		Shards: 2, Replicas: 2,
 		New: func(int, int) Backend { return Instant{} },
 	})
-	checkAllocs(t, instanceAllocs(t, Config{Backend: cl}), allocsDirectCluster)
+	checkAllocs(t, instanceAllocs(t, Config{Backend: cl}, false), allocsDirectCluster)
 }
 
 // TestAllocsQueryLayerHit pins the query layer with dedup and the cache on,
 // once every identity is cached: no launch reaches the backend.
 func TestAllocsQueryLayerHit(t *testing.T) {
 	cfg := Config{Backend: Instant{}, Query: QueryConfig{Dedup: true, CacheSize: 1024}}
-	checkAllocs(t, instanceAllocs(t, cfg), allocsQueryLayerHit)
+	checkAllocs(t, instanceAllocs(t, cfg, false), allocsQueryLayerHit)
 }
 
 // The limits are counts measured with go1.24 on linux/amd64 (quickstart

@@ -288,7 +288,7 @@ func TestSubmitCancelWithoutCtx(t *testing.T) {
 	cause := errors.New("caller gave up")
 	for i := 0; i < 200; i++ {
 		done := make(chan *engine.Result, 1)
-		cancel, err := svc.SubmitCancel(Request{
+		h, err := svc.SubmitCancel(Request{
 			Schema: s, Sources: sources, Strategy: st,
 			Done: func(r *engine.Result) {
 				out := *r
@@ -299,7 +299,7 @@ func TestSubmitCancelWithoutCtx(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancel(cause) // immediately: before the begin has run, on purpose
+		h.Cancel(cause) // immediately: before the begin has run, on purpose
 		select {
 		case res := <-done:
 			if res.Err == nil || !errors.Is(res.Err, cause) {

@@ -39,7 +39,7 @@ func TestMailboxCancelRacesBegin(t *testing.T) {
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		window <- struct{}{}
-		cancel, err := svc.SubmitCancel(Request{
+		h, err := svc.SubmitCancel(Request{
 			Schema: s, Sources: sources, Strategy: st,
 			Done: func(r *engine.Result) {
 				switch {
@@ -60,7 +60,7 @@ func TestMailboxCancelRacesBegin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancel(cause)
+		h.Cancel(cause)
 	}
 	drained := make(chan struct{})
 	go func() { wg.Wait(); close(drained) }()
@@ -134,7 +134,7 @@ func TestMailboxStaleCancelAfterReuse(t *testing.T) {
 			t.Fatal("the pooled state was never reused")
 		}
 		gate.set(false)
-		inA, genA, err := svc.submit(Request{Schema: s, Sources: sources, Strategy: st})
+		hA, err := svc.SubmitCancel(Request{Schema: s, Sources: sources, Strategy: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestMailboxStaleCancelAfterReuse(t *testing.T) {
 
 		gate.set(true)
 		done := make(chan error, 1)
-		inB, _, err := svc.submit(Request{
+		hB, err := svc.SubmitCancel(Request{
 			Schema: s, Sources: other, Strategy: st,
 			Done: func(r *engine.Result) {
 				if r.Err != nil {
@@ -155,11 +155,12 @@ func TestMailboxStaleCancelAfterReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reused := inB == inA
+		inB := hB.in
+		reused := inB == hA.in
 		if reused {
 			// B is parked on the gate. Deliver A's stale nudge and wait
 			// until a worker has consumed it.
-			inA.cancel(genA, errors.New("stale"))
+			hA.Cancel(errors.New("stale"))
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				inB.mbMu.Lock()
@@ -192,7 +193,7 @@ func TestMailboxStaleCancelAfterReuse(t *testing.T) {
 			// Once more against the retired (pooled) state: must be inert,
 			// and Close (deferred) must still drain.
 			svc.active.Wait()
-			inA.cancel(genA, errors.New("stale"))
+			hA.Cancel(errors.New("stale"))
 			return
 		}
 	}
@@ -260,12 +261,12 @@ func TestMailboxDoneReenters(t *testing.T) {
 	defer svc.Close()
 	st := engine.MustParseStrategy("PSE100")
 
-	handle := make(chan func(error), 1)
+	handle := make(chan Handle, 1)
 	inner := make(chan error, 1)
-	cancel, err := svc.SubmitCancel(Request{
+	h, err := svc.SubmitCancel(Request{
 		Schema: s, Sources: sources, Strategy: st,
 		Done: func(*engine.Result) {
-			(<-handle)(errors.New("too late"))
+			(<-handle).Cancel(errors.New("too late"))
 			if err := svc.Submit(Request{
 				Schema: s, Sources: sources, Strategy: st,
 				Done: func(r *engine.Result) { inner <- r.Err },
@@ -277,7 +278,7 @@ func TestMailboxDoneReenters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handle <- cancel
+	handle <- h
 	select {
 	case err := <-inner:
 		if err != nil {

@@ -108,12 +108,12 @@ func chainFlow(t testing.TB, name string, levels, cost int) *core.Schema {
 // submitChain submits one instance of a chain flow with source x; the
 // returned channel delivers its result (snapshot dropped) exactly once — a
 // second Done would block forever on the full channel and fail the drain.
-func submitChain(t *testing.T, svc *Service, s *core.Schema, x int) (<-chan engine.Result, func(error)) {
+func submitChain(t *testing.T, svc *Service, s *core.Schema, x int) (<-chan engine.Result, Handle) {
 	t.Helper()
 	out := make(chan engine.Result, 1)
 	var calls atomic.Int32
 	target := s.Targets()[0]
-	cancel, err := svc.SubmitCancel(Request{
+	h, err := svc.SubmitCancel(Request{
 		Schema:   s,
 		Sources:  map[string]value.Value{"x": value.Int(int64(x))},
 		Strategy: engine.MustParseStrategy("PSE100"),
@@ -133,7 +133,7 @@ func submitChain(t *testing.T, svc *Service, s *core.Schema, x int) (<-chan engi
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, cancel
+	return out, h
 }
 
 func await(t *testing.T, ch <-chan engine.Result, what string) engine.Result {
@@ -295,7 +295,7 @@ func TestParkedFlightsDoNotParkTheWorker(t *testing.T) {
 	// Flights 1 and 2 take the permits; 3..6 park, in that order (one worker,
 	// FIFO run queue).
 	done := make([]<-chan engine.Result, 7)
-	cancel := make([]func(error), 7)
+	cancel := make([]Handle, 7)
 	for k := 1; k <= 6; k++ {
 		done[k], cancel[k] = submitChain(t, svc, flows[k], 0)
 	}
@@ -313,7 +313,7 @@ func TestParkedFlightsDoNotParkTheWorker(t *testing.T) {
 
 	// Cancel instance 5 while its flight is parked: it finalizes now.
 	cause := errors.New("caller gave up")
-	cancel[5](cause)
+	cancel[5].Cancel(cause)
 	if r := await(t, done[5], "cancelled instance"); !errors.Is(r.Err, cause) {
 		t.Fatalf("cancelled instance finished with %v, want the cause", r.Err)
 	}

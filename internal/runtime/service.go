@@ -169,34 +169,39 @@ func New(cfg Config) *Service {
 // Submit enqueues one instance for execution. It returns immediately; the
 // request's Done callback reports completion.
 func (s *Service) Submit(req Request) error {
-	_, _, err := s.submit(req)
+	_, err := s.SubmitCancel(req)
 	return err
 }
 
-// SubmitCancel is Submit returning a cancel handle: calling it aborts the
-// instance promptly (it stops launching work and completes with
-// Result.Err wrapping cause), even while the instance idles on a slow
-// backend query. Cancel after completion is a no-op; it is safe to call
-// from any goroutine, any number of times. DoContext wires it to a
-// context; the network front end wires it to client disconnects.
-func (s *Service) SubmitCancel(req Request) (cancel func(cause error), err error) {
-	in, gen, err := s.submit(req)
-	if err != nil {
-		return nil, err
-	}
-	return func(cause error) { in.cancel(gen, cause) }, nil
+// Handle names one submitted instance for SubmitCancel's caller. It is a
+// comparable value, so holding one per instance allocates nothing; the zero
+// Handle's Cancel is a no-op.
+type Handle struct {
+	in  *inst
+	gen uint64 // the occupancy of in's pooled state this handle targets
 }
 
-// submit is Submit returning the accepted instance and its generation —
-// the handle DoContext needs to nudge a cancellation at the instance.
-func (s *Service) submit(req Request) (*inst, uint64, error) {
+// Cancel aborts the instance promptly: it stops launching work and
+// completes with Result.Err wrapping cause (context.Canceled when nil),
+// even while it idles on a slow backend query. Cancel after completion is
+// a no-op — the generation check makes a handle that outlives its instance
+// inert — and it is safe from any goroutine, any number of times.
+func (h Handle) Cancel(cause error) {
+	if h.in != nil {
+		h.in.cancel(h.gen, cause)
+	}
+}
+
+// SubmitCancel is Submit returning the instance's Handle. DoContext wires
+// it to a context; the network front end wires it to client disconnects.
+func (s *Service) SubmitCancel(req Request) (Handle, error) {
 	if req.Schema == nil {
-		return nil, 0, errors.New("runtime: request needs a Schema")
+		return Handle{}, errors.New("runtime: request needs a Schema")
 	}
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
-		return nil, 0, ErrClosed
+		return Handle{}, ErrClosed
 	}
 	in := s.pool.Get().(*inst)
 	in.req = req
@@ -216,7 +221,7 @@ func (s *Service) submit(req Request) (*inst, uint64, error) {
 	}
 	s.active.Add(1)
 	in.post(msg{kind: msgBegin})
-	return in, gen, nil
+	return Handle{in: in, gen: gen}, nil
 }
 
 // Hold brackets a caller about to Submit a group of instances: until the
@@ -242,7 +247,7 @@ func (s *Service) Do(schema *core.Schema, sources map[string]value.Value, st eng
 func (s *Service) DoContext(ctx context.Context, schema *core.Schema, sources map[string]value.Value, st engine.Strategy) (*engine.Result, error) {
 	var out engine.Result
 	done := make(chan struct{})
-	cancel, err := s.SubmitCancel(Request{
+	h, err := s.SubmitCancel(Request{
 		Schema:   schema,
 		Sources:  sources,
 		Strategy: st,
@@ -262,7 +267,7 @@ func (s *Service) DoContext(ctx context.Context, schema *core.Schema, sources ma
 		// Nudge the abort: an instance idling on a slow backend query has
 		// no upcoming step at which to notice the cancellation, so feed it
 		// one. The generation check makes a late nudge a no-op.
-		cancel(ctx.Err())
+		h.Cancel(ctx.Err())
 		<-done
 	}
 	return &out, nil
@@ -389,7 +394,7 @@ const (
 	msgBegin  msgKind = iota // first advance of a freshly submitted request
 	msgDone                  // database task id completed
 	msgFailed                // database task id terminally failed (delivers ⟂)
-	msgCancel                // SubmitCancel nudge
+	msgCancel                // Handle.Cancel nudge
 )
 
 // inst is one pooled wall-clock instance: the shared engine.Core loop
@@ -448,7 +453,7 @@ func (in *inst) post(m msg) {
 	}
 }
 
-// cancel is the body of a SubmitCancel handle: nudge occupancy gen to abort.
+// cancel is the body of Handle.Cancel: nudge occupancy gen to abort.
 func (in *inst) cancel(gen uint64, cause error) {
 	if cause == nil {
 		cause = context.Canceled

@@ -9,14 +9,12 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/runtime"
 )
 
 // This file is the binary ("dfbin") front end: persistent TCP connections
@@ -402,19 +400,23 @@ func (c *binConn) resolveBind(reqID, bindID uint64) *binBind {
 	return bd
 }
 
-// admitBin is admitShared for the binary path: on refusal the Error frame
-// has been queued.
-func (c *binConn) admitBin(reqID uint64, t *tenant, n int) bool {
-	if ref := c.s.admitShared(t, n); ref != nil {
+// admitEval admits n instances of bd on this connection and readies their
+// batch, or returns nil with the refusal's Error frame queued.
+func (c *binConn) admitEval(reqID uint64, bd *binBind, n int) *binEval {
+	s := c.s
+	t := s.tenantFor(c.tenantName)
+	if ref := s.admitShared(t, n); ref != nil {
 		c.sendErr(reqID, ref.binCode(), ref.retry, ref.msg)
-		return false
+		return nil
 	}
-	return true
+	e := &binEval{c: c, reqID: reqID}
+	e.init(s, t, c.tenantName, bd.entry, bd.st, n, e)
+	return e
 }
 
-// handleEval serves one Eval frame: decode (attrID, value) pairs into a
-// pooled slot buffer and hand it to the runtime. Returns false only on a
-// malformed frame (connection teardown).
+// handleEval serves one Eval frame: decode (attrID, value) pairs into the
+// slot of a batch of one. Returns false only on a malformed frame
+// (connection teardown).
 func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 	bd := c.resolveBind(reqID, cur.Uvarint())
 	if cur.Err() != nil {
@@ -423,17 +425,15 @@ func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 	if bd == nil {
 		return true // Error frame queued; rest of the payload is moot
 	}
-	s := c.s
-	t := s.tenantFor(c.tenantName)
-	if !c.admitBin(reqID, t, 1) {
+	e := c.admitEval(reqID, bd, 1)
+	if e == nil {
 		return true
 	}
-	nattrs := bd.entry.schema.NumAttrs()
-	sb := getSlots(nattrs)
+	e.single = true
+	sb := e.slots[0]
 	npairs := cur.Uvarint()
 	if npairs > uint64(len(cur.Rest())) { // each pair costs ≥ 2 bytes
-		s.unwind(t, 1)
-		slotPool.Put(sb)
+		e.drop(1)
 		return false
 	}
 	for i := uint64(0); i < npairs; i++ {
@@ -442,9 +442,8 @@ func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 		if cur.Err() != nil {
 			break
 		}
-		if id >= uint64(nattrs) {
-			s.unwind(t, 1)
-			slotPool.Put(sb)
+		if id >= uint64(len(sb.v)) {
+			e.drop(1)
 			c.sendErr(reqID, api.CodeBadRequest, 0,
 				fmt.Sprintf("attribute id %d out of range", id))
 			return false
@@ -452,81 +451,51 @@ func (c *binConn) handleEval(reqID uint64, cur *api.Cursor) bool {
 		sb.v[id] = v
 	}
 	if cur.Done() != nil {
-		s.unwind(t, 1)
-		slotPool.Put(sb)
+		e.drop(1)
 		return false
 	}
-
-	entry := bd.entry
-	shc := s.shadowSample(entry, c.tenantName, bd.st, sb)
 	c.evals.Add(1)
-	err := s.svc.Submit(runtime.Request{
-		Schema:      entry.schema,
-		SourceSlots: sb.v,
-		Strategy:    bd.st,
-		Tenant:      c.tenantName,
-		Done: func(res *engine.Result) {
-			s.shadowFinish(shc, entry, res)
-			// Before slotPool.Put below: the hook reads the dense slots.
-			s.captureEval(entry, c.tenantName, bd.st, sb, res)
-			b := c.out.buf()
-			start := len(b)
-			b = api.BeginFrame(b, api.FrameResult)
-			b = api.AppendUvarint(b, reqID)
-			b = appendResultBody(b, entry, res)
-			c.out.put(api.FinishFrame(b, start))
-			slotPool.Put(sb)
-			t.release(1)
-			s.evals.Done()
-			c.evals.Done()
-		},
-	})
-	if err != nil {
-		c.evals.Done()
-		s.unwind(t, 1)
-		slotPool.Put(sb)
-		c.sendErr(reqID, api.CodeInternal, 0, err.Error())
-	}
+	e.submitAll(nil)
 	return true
 }
 
-// batchCtx coordinates one EvalBatch frame's instances: each Done encodes
-// its result body (while its pooled snapshot is valid) into its slot of
-// bodies; the last to finish assembles and queues the BatchResult frame
-// and releases the batch's admission claims.
-type batchCtx struct {
+// binEval is a dfbin eval's end: put encodes result bodies into the slots,
+// last queues a Result (Eval) or BatchResult (EvalBatch) frame.
+type binEval struct {
+	evalBatch
 	c      *binConn
-	t      *tenant
 	reqID  uint64
-	bodies [][]byte
-	slots  []*slotBuf
-	left   atomic.Int64
+	single bool // an Eval frame
 }
 
-// finish records instance i's encoded body and, when it is the last,
-// assembles the frame. Called from runtime Done callbacks (any worker).
-func (bc *batchCtx) finish(i int, body []byte) {
-	bc.bodies[i] = body
-	if bc.left.Add(-1) > 0 {
-		return
+func (e *binEval) put(i int, res *engine.Result, err error) {
+	sb := e.slots[i]
+	sb.out = appendResultBody(sb.out[:0], e.entry, res, err)
+}
+
+func (e *binEval) last() {
+	c := e.c
+	n := len(e.slots)
+	if e.single && e.refused != nil {
+		c.sendErr(e.reqID, api.CodeInternal, 0, e.refused.Error())
+	} else {
+		typ := api.FrameBatchResult
+		if e.single {
+			typ = api.FrameResult
+		}
+		b := c.out.buf()
+		start := len(b)
+		b = api.BeginFrame(b, typ)
+		b = api.AppendUvarint(b, e.reqID)
+		if !e.single {
+			b = api.AppendUvarint(b, uint64(n))
+		}
+		for _, sb := range e.slots {
+			b = append(b, sb.out...)
+		}
+		c.out.put(api.FinishFrame(b, start))
 	}
-	c := bc.c
-	n := len(bc.bodies)
-	b := c.out.buf()
-	start := len(b)
-	b = api.BeginFrame(b, api.FrameBatchResult)
-	b = api.AppendUvarint(b, bc.reqID)
-	b = api.AppendUvarint(b, uint64(n))
-	for _, body := range bc.bodies {
-		b = append(b, body...)
-	}
-	c.out.put(api.FinishFrame(b, start))
-	for _, body := range bc.bodies {
-		c.out.recycle(body)
-	}
-	putSlots(bc.slots)
-	bc.t.release(n)
-	c.s.evals.Add(-n)
+	putSlots(e.slots)
 	c.evals.Add(-n)
 }
 
@@ -575,58 +544,40 @@ func (c *binConn) handleEvalBatch(reqID uint64, cur *api.Cursor) bool {
 		cols[i] = int(id)
 	}
 
-	t := s.tenantFor(c.tenantName)
-	if !c.admitBin(reqID, t, n) {
+	e := c.admitEval(reqID, bd, n)
+	if e == nil {
 		return true
-	}
-
-	slots := make([]*slotBuf, n)
-	for i := range slots {
-		slots[i] = getSlots(nattrs)
-	}
-	fail := func() bool {
-		s.unwind(t, n)
-		putSlots(slots)
-		return false
 	}
 	// Column-major: all n values of column 0, then column 1, …
 	for _, id := range cols {
-		for i := 0; i < n; i++ {
-			slots[i].v[id] = cur.Value()
+		for _, sb := range e.slots {
+			sb.v[id] = cur.Value()
 		}
 		if cur.Err() != nil {
-			return fail()
+			e.drop(n)
+			return false
 		}
 	}
 	if cur.Done() != nil {
-		return fail()
+		e.drop(n)
+		return false
 	}
-
-	entry := bd.entry
-	bc := &batchCtx{c: c, t: t, reqID: reqID, bodies: make([][]byte, n), slots: slots}
-	bc.left.Store(int64(n))
 	c.evals.Add(n)
-	s.submitAll(nil, entry, bd.st, c.tenantName, slots, func(i int, res *engine.Result, err error) {
-		b := c.out.buf()
-		if res != nil {
-			b = appendResultBody(b, entry, res)
-		} else { // refused by the service: an all-zero body carrying the error
-			for k := 0; k < 6; k++ {
-				b = api.AppendUvarint(b, 0) // elapsedUs, work, wasted, launched, synth, failures
-			}
-			b = api.AppendString(b, err.Error())
-			b = api.AppendUvarint(b, 0) // no targets
-		}
-		bc.finish(i, b)
-	})
+	e.submitAll(nil)
 	return true
 }
 
-// appendResultBody encodes one completed instance per the result-body
-// grammar of internal/api. It runs inside the runtime's Done callback,
-// while the pooled snapshot is still valid — the binary sibling of
-// appendResult.
-func appendResultBody(b []byte, entry *schemaEntry, res *engine.Result) []byte {
+// appendResultBody encodes one instance's answer per the result-body
+// grammar of internal/api — the binary sibling of appendResult: res while
+// its pooled snapshot is valid, or a refusal as a zeroed body with err.
+func appendResultBody(b []byte, entry *schemaEntry, res *engine.Result, err error) []byte {
+	if res == nil {
+		for k := 0; k < 6; k++ {
+			b = api.AppendUvarint(b, 0) // elapsedUs, work, wasted, launched, synth, failures
+		}
+		b = api.AppendString(b, err.Error())
+		return api.AppendUvarint(b, 0) // no targets
+	}
 	b = api.AppendUvarint(b, uint64(max(res.Elapsed*1000, 0))) // µs
 	b = api.AppendUvarint(b, uint64(res.Work))
 	b = api.AppendUvarint(b, uint64(res.WastedWork))
@@ -655,16 +606,8 @@ func (c *binConn) handleRegister(reqID uint64, cur *api.Cursor) bool {
 	}
 	s := c.s
 	t := s.tenantFor(c.tenantName)
-	if t == nil {
-		c.sendErr(reqID, api.CodeShed, time.Second, "tenant table full")
-		return true
-	}
-	if ok, cause, retry := t.admit(1); !ok {
-		code := api.CodeShed
-		if cause == shedTooLarge {
-			code = api.CodeTooLarge
-		}
-		c.sendErr(reqID, code, retry, registerShedMsg(cause))
+	if ref := admitTenant(t, 1); ref != nil {
+		c.sendErr(reqID, ref.binCode(), ref.retry, ref.msg)
 		return true
 	}
 	defer t.release(1)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -628,5 +629,83 @@ func TestBinaryBatchTooLarge(t *testing.T) {
 	})
 	if err != nil || rep.Failed > 0 || rep.Errors > 0 {
 		t.Fatalf("RunLoad over binary: %v %+v", err, rep)
+	}
+}
+
+// TestRegisterRefusalBothWires pins schema registration's tenant refusals —
+// the tenant table's backstop, the rate bucket, the in-flight quota — on
+// both wires: HTTP answers 429 with Retry-After and the JSON error body,
+// dfbin an Error frame with CodeShed, and both carry the retry hint and the
+// message an eval's refusal has.
+func TestRegisterRefusalBothWires(t *testing.T) {
+	const text = "schema reg\nsource amount\nsynth fee = amount / 10\ntarget fee"
+	eval := api.EvalRequest{Schema: "quickstart", Sources: api.EncodeSources(map[string]value.Value{
+		"order_total": value.Int(120), "customer_id": value.Int(7),
+	})}
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+		// exhaust makes tenant ops's next registration refuse.
+		exhaust            func(*testing.T, *httptest.Server, *gateBackend)
+		msg                string
+		retryMin, retryMax int64 // ms
+	}{
+		{"table full", func(cfg *Config) { cfg.MaxTenants = 1 },
+			func(t *testing.T, hs *httptest.Server, _ *gateBackend) {
+				drainBody(t, post(t, hs, "/v1/eval", "other", eval), nil)
+			}, "tenant table full", 1000, 1000},
+		{"rate", func(cfg *Config) { cfg.Tenant = TenantLimits{RatePerSec: 0.001, Burst: 1} },
+			func(t *testing.T, hs *httptest.Server, _ *gateBackend) {
+				drainBody(t, post(t, hs, "/v1/eval", "ops", eval), nil)
+			}, "over tenant rate limit", 999_000, 1_000_000},
+		{"quota", func(cfg *Config) { cfg.Tenant = TenantLimits{MaxInFlight: 1} },
+			func(t *testing.T, hs *httptest.Server, gate *gateBackend) {
+				gate.stall() // the async eval holds the tenant's one claim
+				async := eval
+				async.Async = true
+				drainBody(t, post(t, hs, "/v1/eval", "ops", async), nil)
+			}, "over tenant in-flight quota", 10, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := &gateBackend{}
+			_, _, hs, addr := newBinStack(t, runtime.Config{Backend: gate}, tc.mod)
+			t.Cleanup(gate.unstall) // runs before the stack's Drain
+			tc.exhaust(t, hs, gate)
+
+			resp := post(t, hs, "/v1/schemas", "ops", api.SchemaRequest{Text: text})
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e api.ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("body %q: %v", body, err)
+			}
+			canon, _ := json.Marshal(e)
+			if resp.StatusCode != http.StatusTooManyRequests || e.Error != tc.msg || e.RetryAfterMs < tc.retryMin ||
+				e.RetryAfterMs > tc.retryMax || string(body) != string(canon)+"\n" {
+				t.Fatalf("HTTP refusal: %d %q", resp.StatusCode, body)
+			}
+			if got, want := resp.Header.Get("Retry-After"), fmt.Sprint((e.RetryAfterMs+999)/1000); got != want {
+				t.Fatalf("Retry-After %q, want %q", got, want)
+			}
+
+			rc := dialRaw(t, addr, "ops")
+			b := api.BeginFrame(nil, api.FrameRegister)
+			b = api.AppendUvarint(b, 7)
+			b = api.AppendString(b, text)
+			rc.send(api.FinishFrame(b, 0))
+			typ, p := rc.next()
+			cur := api.NewCursor(p)
+			if typ != api.FrameError || cur.Uvarint() != 7 {
+				t.Fatalf("dfbin registration answered frame %#x", typ)
+			}
+			be, err := api.ParseError(&cur)
+			if err != nil || be.Code != api.CodeShed || be.Msg != tc.msg ||
+				be.RetryAfterMs < tc.retryMin || be.RetryAfterMs > tc.retryMax {
+				t.Fatalf("dfbin refusal: %+v, %v", be, err)
+			}
+		})
 	}
 }

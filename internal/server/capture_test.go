@@ -65,10 +65,11 @@ func quickstartSources(i int) map[string]value.Value {
 	return m
 }
 
-// TestCaptureBothWiresDigestParity drives singles and batches over HTTP
-// and dfbin, drains, reads the capture back, and re-executes every record
+// TestCaptureBothWiresDigestParity drives every entry point — singles and
+// batches over HTTP and dfbin, plus HTTP's async evals and streamed
+// batches — drains, reads the capture back, and re-executes every record
 // in virtual time: each recorded digest must match the deterministic
-// re-execution exactly, whichever wire recorded it.
+// re-execution exactly, whichever entry point recorded it.
 func TestCaptureBothWiresDigestParity(t *testing.T) {
 	dir := t.TempDir()
 	srv, hs, binAddr := newCaptureStack(t, dir, 0)
@@ -105,7 +106,30 @@ func TestCaptureBothWiresDigestParity(t *testing.T) {
 			}
 		}
 	}
-	want := 2*singles + 2*batch
+	const async = 4
+	for i := 0; i < async; i++ {
+		id, err := hc.EvalAsync(ctx, api.EvalRequest{Schema: "quickstart", Sources: api.EncodeSources(quickstartSources(300 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := hc.Result(ctx, id); err != nil || res.Error != "" {
+			t.Fatalf("async eval %d: %v %s", i, err, res.Error)
+		}
+	}
+	for i := range srcs {
+		srcs[i] = api.EncodeSources(quickstartSources(400 + i))
+	}
+	streamed := 0
+	err = hc.EvalBatchStream(ctx, api.BatchRequest{Schema: "quickstart", Sources: srcs}, func(it api.BatchItem) {
+		if it.Error != "" {
+			t.Errorf("stream item %d: %s", it.Index, it.Error)
+		}
+		streamed++
+	})
+	if err != nil || streamed != batch {
+		t.Fatalf("stream: %v, %d of %d items", err, streamed, batch)
+	}
+	want := 2*singles + 2*batch + async + batch
 
 	if st := srv.CaptureStats(); st == nil || st.Dropped != 0 {
 		t.Fatalf("capture stats before drain: %+v", st)
@@ -142,7 +166,7 @@ func TestCaptureBothWiresDigestParity(t *testing.T) {
 				i, rec.Tenant, rec.Digest, d)
 		}
 	}
-	if tenants["alice"] != singles+batch || tenants["bob"] != singles+batch {
+	if tenants["alice"] != singles+batch+async+batch || tenants["bob"] != singles+batch {
 		t.Fatalf("per-tenant record counts: %v", tenants)
 	}
 }

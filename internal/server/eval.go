@@ -1,12 +1,10 @@
 package server
 
-// The eval pipeline's shared middle: every wire decodes an instance's
-// sources into a pooled slotBuf, submits it with runtime.Request.SourceSlots
-// and encodes the answer inside the runtime's Done callback, while the
-// pooled snapshot is valid. The wires differ only at the edges — how the
-// slots were decoded (api.ScannedRequest for JSON, api.Cursor for dfbin) and
-// what the per-instance sink appends (a JSON result, an NDJSON line, a
-// dfbin result body).
+// The eval pipeline: every entry point on either wire decodes its sources
+// into the pooled slots of an evalBatch (a single eval is a batch of one),
+// which submits them with runtime.Request.SourceSlots and encodes each
+// answer inside the runtime's Done callback, while the pooled snapshot is
+// valid. Entry points differ only in the decode, put and last.
 
 import (
 	"bytes"
@@ -15,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/api"
 	"repro/internal/engine"
@@ -24,7 +23,7 @@ import (
 
 // slotBuf is one instance's pooled buffers: the dense source slots the
 // runtime consumes (see runtime.Request.SourceSlots), the bindings that have
-// no slot, and the instance's encoded answer on the JSON wire.
+// no slot, the instance's encoded answer and its cancel handle.
 type slotBuf struct {
 	v []value.Value
 	// extra holds bindings whose name is not a source of the live schema,
@@ -33,22 +32,11 @@ type slotBuf struct {
 	// keeps them. Nil unless a JSON request sent such a name.
 	extra []api.CaptureSource
 	out   []byte
+	// h cancels the instance; set only when it was submitted with a ctx.
+	h runtime.Handle
 }
 
 var slotPool = sync.Pool{New: func() any { return new(slotBuf) }}
-
-// getSlots returns a cleared slot buffer of length n.
-func getSlots(n int) *slotBuf {
-	sb := slotPool.Get().(*slotBuf)
-	if cap(sb.v) < n {
-		sb.v = make([]value.Value, n)
-	} else {
-		sb.v = sb.v[:n]
-		clear(sb.v)
-	}
-	sb.extra = nil
-	return sb
-}
 
 func putSlots(slots []*slotBuf) {
 	for _, sb := range slots {
@@ -79,9 +67,10 @@ func (e *schemaEntry) bind(sb *slotBuf, name []byte, v value.Value) {
 
 // decodeEval reads a POST /v1/eval (a batch of one) or /v1/eval/batch body
 // and decodes it: the top level once, then — the schema resolved — each
-// instance's source object straight into a pooled slotBuf. flag is the
-// request's async or stream member. On failure the response is written.
-func (s *Server) decodeEval(w http.ResponseWriter, r *http.Request, batch bool) (entry *schemaEntry, st engine.Strategy, flag bool, slots []*slotBuf, ok bool) {
+// instance's source object straight into a slot of the returned batch. flag
+// is the request's async or stream member. On failure the response is
+// written.
+func (s *Server) decodeEval(w http.ResponseWriter, r *http.Request, batch bool, t *tenant, tenantName string) (h *httpEval, flag bool, ok bool) {
 	body := bodyPool.Get().(*bytes.Buffer)
 	body.Reset()
 	defer bodyPool.Put(body)
@@ -108,50 +97,125 @@ func (s *Server) decodeEval(w http.ResponseWriter, r *http.Request, batch bool) 
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds limit %d", req.N, s.cfg.MaxBatch), 0)
 		return
 	}
-	if entry, st, ok = s.resolveSchema(w, req.Schema, req.Strategy); !ok {
+	entry, st, found := s.resolveSchema(w, req.Schema, req.Strategy)
+	if !found {
 		return
 	}
-	slots = make([]*slotBuf, req.N)
-	for i := range slots {
-		slots[i] = getSlots(entry.schema.NumAttrs())
-	}
-	err = req.Sources(func(i int, name []byte, v value.Value) { entry.bind(slots[i], name, v) })
+	h = new(httpEval)
+	h.init(s, t, tenantName, entry, st, req.N, h)
+	err = req.Sources(func(i int, name []byte, v value.Value) { entry.bind(h.slots[i], name, v) })
 	if err != nil {
-		putSlots(slots)
+		putSlots(h.slots)
 		writeErr(w, http.StatusBadRequest, err.Error(), 0)
-		return entry, st, false, nil, false
+		return nil, false, false
 	}
-	return entry, st, req.Flag, slots, true
+	return h, req.Flag, true
+}
+
+// evalBatch is one admitted eval request from its first Submit to its last
+// Done. It owns the slots (each with its instance's cancel handle), the n
+// claims admission granted (tenant in-flight and the server's eval count)
+// and the countdown; each entry point embeds one and is its end.
+type evalBatch struct {
+	s          *Server
+	t          *tenant
+	tenantName string
+	entry      *schemaEntry
+	st         engine.Strategy
+	end        batchEnd
+	slots      []*slotBuf
+	refused    error // the service's refusal (it was closed), set before put
+	left       atomic.Int64
+	slot1      [1]*slotBuf // a batch of one allocates no slice
+}
+
+// batchEnd is an entry point's side of the pipeline.
+type batchEnd interface {
+	// put receives instance i's answer on the worker that finished it, res
+	// valid (like its pooled snapshot) only until put returns — or, with res
+	// nil, the refusal err of an instance that never ran.
+	put(i int, res *engine.Result, err error)
+	// last runs once after every put: tenant claims released, eval count not.
+	last()
+}
+
+// init readies b for n instances of entry in cleared pooled slots; the
+// caller owns n claims of tenant t.
+func (b *evalBatch) init(s *Server, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, n int, end batchEnd) {
+	b.s, b.t, b.tenantName, b.entry, b.st, b.end = s, t, tenantName, entry, st, end
+	b.slots = b.slot1[:]
+	if n > 1 {
+		b.slots = make([]*slotBuf, n)
+	}
+	nattrs := entry.schema.NumAttrs()
+	for i := range b.slots {
+		sb := slotPool.Get().(*slotBuf)
+		if cap(sb.v) < nattrs {
+			sb.v = make([]value.Value, nattrs)
+		} else {
+			sb.v = sb.v[:nattrs]
+			clear(sb.v)
+		}
+		sb.extra, sb.h = nil, runtime.Handle{}
+		b.slots[i] = sb
+	}
+	b.left.Store(int64(n))
+}
+
+// drop gives back the slots and k claims of a batch that will not be
+// submitted (a malformed frame, a refused second admission step).
+func (b *evalBatch) drop(k int) {
+	putSlots(b.slots)
+	b.s.unwind(b.t, k)
 }
 
 // submitAll is the Hold → shadowSample → Submit{Done: shadowFinish,
-// captureEval, sink} → release loop of every batch: HTTP, NDJSON stream and
-// dfbin EvalBatch. sink runs once per instance: inside the runtime's Done
-// callback, on a service worker, with the result (valid, like its pooled
-// snapshot, only until sink returns) — or at once with the error when the
-// service refused the instance. ctx cancels the instances; it is nil on
-// dfbin, whose connections have no per-request context.
-func (s *Server) submitAll(ctx context.Context, entry *schemaEntry, st engine.Strategy, tenantName string, slots []*slotBuf, sink func(i int, res *engine.Result, err error)) {
-	release := s.svc.Hold() // the batch's queries leave together, not per idle instance
-	for i, sb := range slots {
-		shc := s.shadowSample(entry, tenantName, st, sb)
-		err := s.svc.Submit(runtime.Request{
-			Schema:      entry.schema,
+// captureEval, put, done} → release loop of every eval; the Hold makes the
+// batch's queries leave together. A non-nil ctx cancels the instances, and
+// their handles stay in the slots. A refused instance is put with the
+// error and counted down at once, its claim unaccepted (it never ran).
+func (b *evalBatch) submitAll(ctx context.Context) {
+	s := b.s
+	release := s.svc.Hold()
+	for i, sb := range b.slots {
+		shc := s.shadowSample(b.entry, b.tenantName, b.st, sb)
+		h, err := s.svc.SubmitCancel(runtime.Request{
+			Schema:      b.entry.schema,
 			SourceSlots: sb.v,
-			Strategy:    st,
-			Tenant:      tenantName,
+			Strategy:    b.st,
+			Tenant:      b.tenantName,
 			Ctx:         ctx,
 			Done: func(res *engine.Result) {
-				s.shadowFinish(shc, entry, res)
-				s.captureEval(entry, tenantName, st, sb, res)
-				sink(i, res, nil)
+				s.shadowFinish(shc, b.entry, res)
+				s.captureEval(b.entry, b.tenantName, b.st, sb, res)
+				b.end.put(i, res, nil)
+				b.done()
 			},
 		})
 		if err != nil {
-			sink(i, nil, err)
+			b.refused = err
+			b.t.unaccept(1)
+			b.end.put(i, nil, err)
+			b.done()
+		} else if ctx != nil {
+			sb.h = h // a worker may finish the instance meanwhile, but never reads h
 		}
 	}
 	release()
+}
+
+// done counts one instance down. The last releases the tenant's claims,
+// runs last, then drops the eval count: a client that reads its answer
+// must find its claims free, and Drain every dfbin answer queued and every
+// async TTL timer armed.
+func (b *evalBatch) done() {
+	if b.left.Add(-1) > 0 {
+		return
+	}
+	n := len(b.slots)
+	b.t.release(n)
+	b.end.last()
+	b.s.evals.Add(-n)
 }
 
 // appendResult renders one instance's answer as JSON — an EvalResult, or

@@ -366,3 +366,89 @@ func TestEvalConformance(t *testing.T) {
 		t.Fatalf("names: q = %v, %v, %v", q, out.Results[1].Values["q"], out.Results[2].Values["q"])
 	}
 }
+
+// TestDisconnectAbortsEval: when an HTTP client leaves, every instance of
+// its eval — single, batch or stream — aborts at once, though the backend
+// never answers, and the tenant's claims return with it; none sits out the
+// backend holding its claim.
+func TestDisconnectAbortsEval(t *testing.T) {
+	const text = `
+schema gated
+source amount
+query risk from amount cost 2 when amount > 0
+synth fee when notnull(risk) = amount / 10 + risk * 0
+target fee
+`
+	src := map[string]value.Value{"amount": value.Int(10)}
+	batch := func(n int) api.BatchRequest {
+		srcs := make([]map[string]any, n)
+		for i := range srcs {
+			srcs[i] = api.EncodeSources(src)
+		}
+		return api.BatchRequest{Schema: "gated", Sources: srcs}
+	}
+	for _, tc := range []struct {
+		name string
+		n    int
+		eval func(context.Context, *client.Client) error
+	}{
+		{"single", 1, func(ctx context.Context, c *client.Client) error {
+			_, err := c.EvalValues(ctx, "gated", "", src)
+			return err
+		}},
+		{"batch", 4, func(ctx context.Context, c *client.Client) error {
+			_, err := c.EvalBatch(ctx, batch(4))
+			return err
+		}},
+		{"stream", 4, func(ctx context.Context, c *client.Client) error {
+			return c.EvalBatchStream(ctx, batch(4), func(api.BatchItem) {})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := &gateBackend{}
+			gate.stall()
+			svc, srv, _, c := newTestStack(t, runtime.Config{Backend: gate}, nil)
+			t.Cleanup(gate.unstall) // runs before the stack's Drain
+			if _, err := c.RegisterSchemaText(context.Background(), text); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			errc := make(chan error, 1)
+			go func() { errc <- tc.eval(ctx, c) }()
+
+			// Every instance has launched its one query and idles on it.
+			deadline := time.Now().Add(10 * time.Second)
+			for gate.parkedQueries() < tc.n {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d queries reached the backend", gate.parkedQueries(), tc.n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			if err := <-errc; err == nil {
+				t.Fatal("eval succeeded on a backend that never answers")
+			}
+
+			deadline = time.Now().Add(time.Second)
+			for {
+				st := svc.Stats()
+				inFlight := srv.tenantFor("t0").admission().InFlight
+				if inFlight == 0 && st.Completed == uint64(tc.n) && st.Errors == uint64(tc.n) {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("1s after the client left: in-flight %d, %d of %d instances completed, %d aborted",
+						inFlight, st.Completed, tc.n, st.Errors)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// parkedQueries counts the backend round trips the gate holds.
+func (g *gateBackend) parkedQueries() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.parked)
+}

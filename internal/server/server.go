@@ -151,7 +151,7 @@ type Server struct {
 	tmu     sync.Mutex // guards tenants
 	tenants map[string]*tenant
 
-	results   sync.Map // async result id → *pending
+	results   sync.Map // async result id → *httpEval
 	resultSeq atomic.Uint64
 
 	// drainMu orders eval admission against Drain: evals hold the read
@@ -358,8 +358,8 @@ func Open(cfg Config) (*Server, error) {
 		s.capture = w
 	}
 	s.mux.HandleFunc("POST /v1/schemas", s.handleSchemas)
-	s.mux.HandleFunc("POST /v1/eval", s.handleEval)
-	s.mux.HandleFunc("POST /v1/eval/batch", s.handleBatch)
+	s.mux.HandleFunc("POST /v1/eval", func(w http.ResponseWriter, r *http.Request) { s.handleEval(w, r, false) })
+	s.mux.HandleFunc("POST /v1/eval/batch", func(w http.ResponseWriter, r *http.Request) { s.handleEval(w, r, true) })
 	s.mux.HandleFunc("GET /v1/results/{id}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/schemas/{name}/shadow", s.handleShadowReport)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -506,12 +506,10 @@ func (s *Server) Drain(ctx context.Context) (runtime.Stats, error) {
 	// so each pending's TTL timer exists — stop them all rather than leave
 	// timers firing into a closed server.
 	s.results.Range(func(k, v any) bool {
-		p := v.(*pending)
+		p := v.(*httpEval)
 		select {
-		case <-p.done:
-			if p.tm != nil {
-				p.tm.Stop()
-			}
+		case <-p.lines:
+			p.tm.Stop()
 		default: // drain timed out with the instance still in flight
 		}
 		s.results.Delete(k)
@@ -595,40 +593,44 @@ func (s *Server) watchP99() {
 // (writeHTTP ↔ 429/503/400 with Retry-After, binCode ↔ Error frame
 // codes), so the two transports cannot drift in admission semantics.
 type admitRefusal struct {
-	cause     shedCause     // shedNone for draining / table-full refusals
 	retry     time.Duration // retry hint; 0 when permanent or draining
 	draining  bool          // server is shutting down (↔ 503 / CodeDraining)
 	permanent bool          // request can never be admitted (↔ 400 / CodeTooLarge)
 	msg       string
 }
 
-// admitShared runs the admission layers for n instances of tenant t: the
-// per-tenant bucket and quota, the global queue-depth/p99 watermarks, and
-// the drain gate. It returns nil when admitted — the caller then owns n
-// claims on the tenant and the server's eval WaitGroup — or the refusal
-// for the caller's wire to render.
-func (s *Server) admitShared(t *tenant, n int) *admitRefusal {
+// admitTenant is admitShared's tenant half — table backstop, bucket and
+// quota — and all the metering schema registration gets.
+func admitTenant(t *tenant, n int) *admitRefusal {
 	if t == nil {
 		// tenantFor refused to materialize a new tenant: table full.
 		return &admitRefusal{retry: time.Second, msg: "tenant table full"}
 	}
 	ok, cause, retry := t.admit(n)
-	if !ok {
-		if cause == shedTooLarge {
-			// Permanent: the batch exceeds the bucket's capacity outright.
-			return &admitRefusal{cause: cause, permanent: true,
-				msg: "batch exceeds the tenant's burst capacity; split it"}
-		}
-		msg := "over tenant rate limit"
-		if cause == shedQuota {
-			msg = "over tenant in-flight quota"
-		}
-		return &admitRefusal{cause: cause, retry: retry, msg: msg}
+	switch {
+	case ok:
+		return nil
+	case cause == shedTooLarge: // permanent: more than the bucket can ever hold
+		return &admitRefusal{permanent: true, msg: "batch exceeds the tenant's burst capacity; split it"}
+	case cause == shedQuota:
+		return &admitRefusal{retry: retry, msg: "over tenant in-flight quota"}
+	}
+	return &admitRefusal{retry: retry, msg: "over tenant rate limit"}
+}
+
+// admitShared runs the admission layers for n instances of tenant t: the
+// tenant's own (admitTenant), the global queue-depth/p99 watermarks, and
+// the drain gate. It returns nil when admitted — the caller then owns n
+// claims on the tenant and the server's eval WaitGroup — or the refusal
+// for the caller's wire to render.
+func (s *Server) admitShared(t *tenant, n int) *admitRefusal {
+	if ref := admitTenant(t, n); ref != nil {
+		return ref
 	}
 	if (s.cfg.ShedQueueDepth >= 0 && s.svc.QueueDepth() > s.cfg.ShedQueueDepth) || s.p99High.Load() {
 		t.unadmit(n)
 		t.shedByQueue(n)
-		return &admitRefusal{cause: shedQueue, retry: 25 * time.Millisecond,
+		return &admitRefusal{retry: 25 * time.Millisecond,
 			msg: "server overloaded (queue depth or p99 past watermark)"}
 	}
 	s.drainMu.RLock()
@@ -855,13 +857,8 @@ func (s *Server) handleSchemas(w http.ResponseWriter, r *http.Request) {
 	// schema parse is not cheaper than an eval, and this endpoint must
 	// not be the unmetered way around TenantLimits.
 	t := s.tenantFor(tenantName)
-	if t == nil {
-		writeErr(w, http.StatusTooManyRequests, "tenant table full", time.Second)
-		return
-	}
-	if ok, cause, retry := t.admit(1); !ok {
-		(&admitRefusal{cause: cause, retry: retry, permanent: cause == shedTooLarge,
-			msg: registerShedMsg(cause)}).writeHTTP(w)
+	if ref := admitTenant(t, 1); ref != nil {
+		ref.writeHTTP(w)
 		return
 	}
 	defer t.release(1)
@@ -896,20 +893,6 @@ func (s *Server) handleShadowReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sh.report(name, entry.version))
 }
 
-// registerShedMsg phrases a registration shed cause (registration is
-// metered but takes no second admission pass, so it renders refusals
-// without admitShared).
-func registerShedMsg(cause shedCause) string {
-	switch cause {
-	case shedQuota:
-		return "over tenant in-flight quota"
-	case shedTooLarge:
-		return "batch exceeds the tenant's burst capacity; split it"
-	default:
-		return "over tenant rate limit"
-	}
-}
-
 // resolveSchema maps a request's schema name and strategy code to the
 // registry entry and parsed strategy (shared by single and batch eval).
 func (s *Server) resolveSchema(w http.ResponseWriter, name, strategy string) (*schemaEntry, engine.Strategy, bool) {
@@ -933,118 +916,139 @@ func (s *Server) resolveSchema(w http.ResponseWriter, name, strategy string) (*s
 
 // unwind releases admission claims for a request that failed between
 // admission and reaching the runtime (decode/resolve error, a refused
-// batch second step, a closed service): the in-flight gauge, accepted
-// counter, and eval WaitGroup return, but the rate tokens stay burned —
-// metering the parse work was the point of admitting before decoding.
+// batch second step): the in-flight gauge, accepted counter, and eval
+// WaitGroup return, but the rate tokens stay burned — metering the parse
+// work was the point of admitting before decoding.
 func (s *Server) unwind(t *tenant, n int) {
 	t.release(n)
 	t.unaccept(n)
 	s.evals.Add(-n)
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
+// handleEval serves POST /v1/eval (a batch of one; async parks its answer
+// for GET /v1/results/{id}) and /v1/eval/batch (one JSON body, or NDJSON
+// lines in completion order when streamed).
+func (s *Server) handleEval(w http.ResponseWriter, r *http.Request, batch bool) {
 	tenantName, ok := requestTenant(w, r)
 	if !ok {
 		return
 	}
 	// Admission precedes the body decode, so an over-limit tenant cannot
-	// use request parsing as its unmetered path around TenantLimits.
+	// use request parsing as its unmetered path around TenantLimits. The
+	// batch size is unknown until then, so admission runs in two steps: one
+	// instance's worth up front and the remaining n-1 once n is known.
 	t := s.tenantFor(tenantName)
 	if !s.admit(w, t, 1) {
 		return
 	}
-	entry, st, async, slots, ok := s.decodeEval(w, r, false)
+	h, flag, ok := s.decodeEval(w, r, batch, t, tenantName)
 	if !ok {
 		s.unwind(t, 1)
 		return
 	}
-	sb := slots[0]
-	if async {
-		s.evalAsync(w, t, tenantName, entry, st, sb)
+	n := len(h.slots)
+	if n > 1 && !s.admit(w, t, n-1) {
+		h.drop(1)
 		return
 	}
-
-	shc := s.shadowSample(entry, tenantName, st, sb)
-	done := make(chan struct{})
-	cancel, err := s.svc.SubmitCancel(runtime.Request{
-		Schema:      entry.schema,
-		SourceSlots: sb.v,
-		Strategy:    st,
-		Tenant:      tenantName,
-		Ctx:         r.Context(),
-		Done: func(res *engine.Result) {
-			s.shadowFinish(shc, entry, res)
-			s.captureEval(entry, tenantName, st, sb, res)
-			sb.out = append(appendResult(sb.out[:0], -1, entry, res, nil), '\n')
-			close(done)
-		},
-	})
-	if err != nil {
-		slotPool.Put(sb)
-		s.unwind(t, 1)
-		writeErr(w, http.StatusServiceUnavailable, err.Error(), 0)
-		return
+	h.stream = flag && batch
+	h.lines = make(chan int, n) // a stream sends each index once
+	ctx := r.Context()
+	if flag && !batch {
+		h.id = strconv.FormatUint(s.resultSeq.Add(1), 36)
+		s.results.Store(h.id, h)
+		ctx = nil // the request's context ends with the 202
 	}
-	select {
-	case <-done:
-	case <-r.Context().Done():
-		// Client gone: abort the instance promptly, then wait for the
-		// abort to land so the claims release only after the runtime is
-		// done with the instance.
-		cancel(r.Context().Err())
-		<-done
+	h.submitAll(ctx)
+	switch {
+	case !batch && h.refused != nil:
+		// The service refused the one instance (it was closed); last has run.
+		s.results.Delete(h.id) // async: the id was never handed out
+		writeErr(w, http.StatusServiceUnavailable, h.refused.Error(), 0)
+	case h.id != "":
+		writeBody(w, http.StatusAccepted, append(api.AppendJSONString([]byte(`{"id":`), h.id), "}\n"...))
+		return // the slots are the poller's
+	case h.stream:
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		rc := http.NewResponseController(w)
+		h.wait(ctx, func(i int) {
+			// Once the client is gone these fail, and the wait goes on.
+			w.Write(h.slots[i].out)
+			rc.Flush()
+		})
+	case batch:
+		h.wait(ctx, nil)
+		out := bodyPool.Get().(*bytes.Buffer)
+		out.Reset()
+		out.WriteString(`{"results":[`)
+		for i, sb := range h.slots {
+			if i > 0 {
+				out.WriteByte(',')
+			}
+			out.Write(sb.out)
+		}
+		out.WriteString("]}\n")
+		writeBody(w, http.StatusOK, out.Bytes())
+		bodyPool.Put(out)
+	default:
+		h.wait(ctx, nil)
+		writeBody(w, http.StatusOK, append(h.slots[0].out, '\n'))
 	}
-	t.release(1)
-	s.evals.Done()
-	writeBody(w, http.StatusOK, sb.out)
-	slotPool.Put(sb)
+	putSlots(h.slots)
 }
 
-// pending is one async instance's rendezvous.
-type pending struct {
-	tenant string
-	done   chan struct{}
-	body   []byte // the encoded EvalResult, written before done closes
-	// tm is the result's TTL reaper, written before done closes and
-	// stopped when the result delivers (or the server drains) — without
-	// the stop, sustained async load piles up one live timer per eval for
-	// the full TTL, and stragglers fire after Close.
+// httpEval is an HTTP eval's end: put renders into the slots, last closes
+// lines for the waiter — the handler, or an async eval's poll.
+type httpEval struct {
+	evalBatch
+	stream bool
+	lines  chan int // a stream's finished indexes
+	// id names an async eval in Server.results until a poll delivers it or
+	// tm, the TTL reaper last arms, expires it. Delivery and Drain stop tm,
+	// or async load piles up a live timer per eval that fires after Close.
+	id string
 	tm *time.Timer
 }
 
-func (s *Server) evalAsync(w http.ResponseWriter, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, sb *slotBuf) {
-	id := strconv.FormatUint(s.resultSeq.Add(1), 36)
-	p := &pending{tenant: tenantName, done: make(chan struct{})}
-	s.results.Store(id, p)
-	shc := s.shadowSample(entry, tenantName, st, sb)
-	err := s.svc.Submit(runtime.Request{
-		Schema:      entry.schema,
-		SourceSlots: sb.v,
-		Strategy:    st,
-		Tenant:      tenantName,
-		Done: func(res *engine.Result) {
-			s.shadowFinish(shc, entry, res)
-			s.captureEval(entry, tenantName, st, sb, res)
-			p.body = append(appendResult(nil, -1, entry, res, nil), '\n')
-			slotPool.Put(sb)
-			// Unfetched results expire so abandoned polls can't pin
-			// memory. The timer must exist before the WaitGroup claim
-			// releases: Drain's sweep runs after evals.Wait, so it is
-			// guaranteed to see (and stop) every timer.
-			p.tm = time.AfterFunc(s.cfg.ResultTTL, func() { s.results.Delete(id) })
-			close(p.done)
-			t.release(1)
-			s.evals.Done()
-		},
-	})
-	if err != nil {
-		slotPool.Put(sb)
-		s.results.Delete(id)
-		s.unwind(t, 1)
-		writeErr(w, http.StatusServiceUnavailable, err.Error(), 0)
+func (h *httpEval) put(i int, res *engine.Result, err error) {
+	sb := h.slots[i]
+	if !h.stream {
+		sb.out = appendResult(sb.out[:0], -1, h.entry, res, err)
 		return
 	}
-	writeBody(w, http.StatusAccepted, append(api.AppendJSONString([]byte(`{"id":`), id), "}\n"...))
+	sb.out = append(appendResult(sb.out[:0], i, h.entry, res, err), '\n')
+	h.lines <- i
+}
+
+func (h *httpEval) last() {
+	if h.id != "" {
+		// Unfetched results expire so abandoned polls can't pin memory.
+		s, id := h.s, h.id
+		h.tm = time.AfterFunc(s.cfg.ResultTTL, func() { s.results.Delete(id) })
+	}
+	close(h.lines)
+}
+
+// wait returns after last, handing line each streamed index. If the client
+// leaves first it cancels every instance, so none idles on a slow backend
+// holding its claim, and waits on: the slots are the workers' until last.
+func (h *httpEval) wait(ctx context.Context, line func(i int)) {
+	gone := ctx.Done()
+	for {
+		select {
+		case i, ok := <-h.lines:
+			if !ok {
+				return
+			}
+			line(i)
+		case <-gone:
+			for _, sb := range h.slots {
+				sb.h.Cancel(ctx.Err())
+			}
+			gone = nil
+		}
+	}
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -1054,13 +1058,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	v, found := s.results.Load(id)
-	if !found {
-		writeErr(w, http.StatusNotFound, "unknown or expired result id", 0)
-		return
-	}
-	p := v.(*pending)
-	if p.tenant != tenantName {
-		// Result IDs are tenant-scoped capabilities.
+	p, _ := v.(*httpEval)
+	if !found || p.tenantName != tenantName { // result IDs are tenant-scoped capabilities
 		writeErr(w, http.StatusNotFound, "unknown or expired result id", 0)
 		return
 	}
@@ -1075,28 +1074,27 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// deliver hands the result to exactly one poller: of two concurrent
 	// polls, only the one that wins the delete gets the body — and the
-	// winner also retires the TTL reaper (written before done closed).
+	// winner also retires the TTL reaper (armed before lines closed).
 	deliver := func() {
 		if _, won := s.results.LoadAndDelete(id); !won {
 			writeErr(w, http.StatusNotFound, "unknown or expired result id", 0)
 			return
 		}
-		if p.tm != nil {
-			p.tm.Stop()
-		}
-		writeBody(w, http.StatusOK, p.body)
+		p.tm.Stop()
+		writeBody(w, http.StatusOK, append(p.slots[0].out, '\n'))
+		putSlots(p.slots)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case <-p.done:
+	case <-p.lines:
 		deliver()
 	case <-s.stopWake:
 		// Drain began: fail fast with 503 so the client re-resolves to a
 		// healthy peer instead of hanging to its poll timeout — unless the
 		// result is already here, in which case deliver it on the way out.
 		select {
-		case <-p.done:
+		case <-p.lines:
 			deliver()
 		default:
 			writeErr(w, http.StatusServiceUnavailable, ErrDraining.Error(), 0)
@@ -1105,90 +1103,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, api.PendingResponse{Pending: true})
 	case <-r.Context().Done():
 	}
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tenantName, ok := requestTenant(w, r)
-	if !ok {
-		return
-	}
-	// The batch size is unknown until the body is decoded, so admission
-	// runs in two steps: one instance's worth up front — the decode of an
-	// up-to-8MiB body must not be free for an over-limit tenant — and the
-	// remaining n-1 once n is known.
-	t := s.tenantFor(tenantName)
-	if !s.admit(w, t, 1) {
-		return
-	}
-	entry, st, stream, slots, ok := s.decodeEval(w, r, true)
-	if !ok {
-		s.unwind(t, 1)
-		return
-	}
-	n := len(slots)
-	if n > 1 && !s.admit(w, t, n-1) {
-		putSlots(slots)
-		s.unwind(t, 1)
-		return
-	}
-	if stream {
-		s.batchStream(w, r, t, tenantName, entry, st, slots)
-		return
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	s.submitAll(r.Context(), entry, st, tenantName, slots, func(i int, res *engine.Result, err error) {
-		slots[i].out = appendResult(slots[i].out[:0], -1, entry, res, err)
-		wg.Done()
-	})
-	wg.Wait()
-	t.release(n)
-	s.evals.Add(-n)
-	out := bodyPool.Get().(*bytes.Buffer)
-	out.Reset()
-	out.WriteString(`{"results":[`)
-	for i, sb := range slots {
-		if i > 0 {
-			out.WriteByte(',')
-		}
-		out.Write(sb.out)
-	}
-	out.WriteString("]}\n")
-	putSlots(slots)
-	writeBody(w, http.StatusOK, out.Bytes())
-	bodyPool.Put(out)
-}
-
-// batchStream delivers batch results as NDJSON in completion order, so a
-// slow instance doesn't block delivery of finished ones.
-func (s *Server) batchStream(w http.ResponseWriter, r *http.Request, t *tenant, tenantName string, entry *schemaEntry, st engine.Strategy, slots []*slotBuf) {
-	n := len(slots)
-	done := make(chan int, n) // every instance sends its index exactly once
-	s.submitAll(r.Context(), entry, st, tenantName, slots, func(i int, res *engine.Result, err error) {
-		slots[i].out = append(appendResult(slots[i].out[:0], i, entry, res, err), '\n')
-		done <- i
-	})
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	gone := false
-	for received := 0; received < n; received++ {
-		i := <-done
-		if gone {
-			continue // keep draining so claims release correctly
-		}
-		if _, err := w.Write(slots[i].out); err != nil || r.Context().Err() != nil {
-			gone = true
-			continue
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	t.release(n)
-	s.evals.Add(-n)
-	putSlots(slots)
 }
 
 // statsResponse builds the stats view shared by GET /v1/stats and the

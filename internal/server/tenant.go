@@ -30,7 +30,6 @@ const (
 	shedNone shedCause = iota
 	shedRate
 	shedQuota
-	shedQueue
 	// shedTooLarge is permanent, not transient: the request asks for more
 	// instances at once than the tenant's bucket can ever hold, so no
 	// amount of waiting admits it. The server answers 400, not 429.
