@@ -34,16 +34,17 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# internal/runtime, internal/client and internal/server are the concurrent
-# core (instance mailboxes, run queue, the multiplexed dfbin connection,
-# the eval countdown that runs on service workers) and their interleavings
-# differ with the number of Ps: on top of the default GOMAXPROCS they run
-# at 1, 2 and 4. internal/server runs on its own: beside it, the runtime's
-# millisecond cluster deadlines miss under the race detector.
+# internal/runtime, internal/client, internal/hist and internal/server are
+# the concurrent core (instance mailboxes, run queue, the multiplexed dfbin
+# connection, the lock-free latency histogram, the eval countdown that runs
+# on service workers) and their interleavings differ with the number of Ps:
+# on top of the default GOMAXPROCS they run at 1, 2 and 4. internal/server
+# runs on its own: beside it, the runtime's millisecond cluster deadlines
+# miss under the race detector.
 RACE_CPUS ?= 1,2,4
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client
+	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client ./internal/hist
 	$(GO) test -race -cpu $(RACE_CPUS) ./internal/server
 
 # Smoke-run every benchmark once; catches bit-rot without burning CI time.

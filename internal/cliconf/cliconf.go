@@ -46,8 +46,6 @@ type Flags struct {
 	Deadline time.Duration
 	Skew     float64
 
-	LatencyWindow int
-
 	// ConfigPath and DumpConfig are the config-file meta-flags: -config
 	// loads file defaults under the explicit command line
 	// (ApplyConfigFile), -dumpconfig prints the effective configuration
@@ -319,7 +317,6 @@ func (f *Flags) Build() (*Built, error) {
 		Backend:          db,
 		Workers:          f.Workers,
 		MaxInFlightTasks: f.InFlight,
-		LatencyWindow:    f.LatencyWindow,
 		Query: runtime.QueryConfig{
 			BatchSize:   f.Batch,
 			BatchWindow: f.Window,

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/hist"
 	"repro/internal/value"
 )
 
@@ -55,8 +55,9 @@ type Load struct {
 }
 
 // Report summarizes one remote load run, measured at the client: HTTP
-// round-trip latency percentiles (per request, batch included), shed
-// retries observed, and throughput in completed instances per second.
+// round-trip latency percentiles (per request, batch included; read from
+// a hist.Hist, so each within 1/16 of exact), shed retries observed, and
+// throughput in completed instances per second.
 type Report struct {
 	Instances          int
 	Errors             int // instances whose result carried an error
@@ -118,20 +119,9 @@ func RunLoad(ctx context.Context, c *Client, l Load) (Report, error) {
 	if elapsed > 0 {
 		rep.Throughput = float64(rep.Instances) / elapsed.Seconds()
 	}
-	r.mu.Lock()
-	lats := r.lats
-	r.mu.Unlock()
-	if len(lats) > 0 {
-		slices.Sort(lats)
-		var sum int64
-		for _, v := range lats {
-			sum += v
-		}
-		idx := func(p float64) time.Duration { return time.Duration(lats[int(p*float64(len(lats)-1))]) }
-		rep.P50, rep.P95, rep.P99 = idx(0.50), idx(0.95), idx(0.99)
-		rep.Max = time.Duration(lats[len(lats)-1])
-		rep.AvgLatency = time.Duration(sum / int64(len(lats)))
-	}
+	var lat hist.Snapshot
+	r.lat.AddTo(&lat)
+	rep.P50, rep.P95, rep.P99, rep.Max, rep.AvgLatency = lat.Summary()
 	return rep, ctx.Err()
 }
 
@@ -144,8 +134,7 @@ type runState struct {
 	completed atomic.Int64
 	errors    atomic.Int64
 	failed    atomic.Int64
-	mu        sync.Mutex
-	lats      []int64
+	lat       hist.Hist
 }
 
 // typedSourcesFor returns instance i's typed source bindings.
@@ -202,9 +191,7 @@ func (r *runState) fire(lo, hi int) {
 			r.l.OnResult(lo+k, res, nil)
 		}
 	}
-	r.mu.Lock()
-	r.lats = append(r.lats, int64(lat))
-	r.mu.Unlock()
+	r.lat.Observe(lat)
 }
 
 // runClosed keeps Concurrency requests outstanding until Count instances

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -97,6 +98,52 @@ func TestAllocsDirectCluster(t *testing.T) {
 func TestAllocsQueryLayerHit(t *testing.T) {
 	cfg := Config{Backend: Instant{}, Query: QueryConfig{Dedup: true, CacheSize: 1024}}
 	checkAllocs(t, instanceAllocs(t, cfg, false), allocsQueryLayerHit)
+}
+
+// TestAllocsRecord pins the stats record path: folding a completion into
+// its shard, latency histogram included, allocates nothing, untagged or
+// for a tenant whose cell exists.
+func TestAllocsRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	var sh shard
+	r := &engine.Result{Work: 6}
+	sh.record(r, time.Millisecond, "acme") // creates acme's cell
+	for _, tenant := range []string{"", "acme"} {
+		if got := testing.AllocsPerRun(1000, func() { sh.record(r, time.Millisecond, tenant) }); got != 0 {
+			t.Fatalf("record for tenant %q: %.0f allocs, want 0", tenant, got)
+		}
+	}
+}
+
+// lastStats keeps TestAllocsStatsFlat's readings live.
+var lastStats Stats
+
+// TestAllocsStatsFlat pins Stats' cost to the shards and tenants, not the
+// samples: it allocates as much after 100,000 recorded completions as
+// after 10.
+func TestAllocsStatsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	svc := New(Config{Workers: 4})
+	defer svc.Close()
+	r := &engine.Result{Work: 6}
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			svc.shards[i%len(svc.shards)].record(r, time.Duration(i)*time.Microsecond, "acme")
+		}
+	}
+	stats := func() { lastStats = svc.Stats() }
+	record(0, 10)
+	few := testing.AllocsPerRun(100, stats)
+	record(10, 100_000)
+	many := testing.AllocsPerRun(100, stats)
+	t.Logf("Stats: %.0f allocs after 10 completions, %.0f after 100,000", few, many)
+	if many != few {
+		t.Fatalf("Stats allocates %.0f after 100,000 completions but %.0f after 10", many, few)
+	}
 }
 
 // The limits are counts measured with go1.24 on linux/amd64 (quickstart

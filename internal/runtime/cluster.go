@@ -224,8 +224,8 @@ func (cl *Cluster) hedgeDelay(sh *cshard) time.Duration {
 	if cl.cfg.HedgeDelay > 0 {
 		return cl.cfg.HedgeDelay
 	}
-	if q := cl.cfg.HedgeQuantile; q > 0 {
-		return sh.hist.quantile(q, 64)
+	if q := cl.cfg.HedgeQuantile; q > 0 && sh.lat.Count() >= 64 {
+		return sh.lat.Quantile(q)
 	}
 	return 0
 }
@@ -266,7 +266,7 @@ func (c *call) finish(at *attempt, err error) {
 		at.rep.brk.failure(now.UnixNano())
 		c.cl.errorsN.Add(1)
 	} else {
-		c.sh.hist.observe(now.Sub(at.start))
+		c.sh.lat.Observe(now.Sub(at.start))
 	}
 	c.mu.Lock()
 	if at.resolved {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/hist"
 	"repro/internal/snapshot"
 )
 
@@ -157,24 +158,26 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// TestLatHistQuantile reads the hedge's quantiles from the shard histogram
+// in place.
 func TestLatHistQuantile(t *testing.T) {
-	var h latHist
-	if q := h.quantile(0.95, 64); q != 0 {
+	var h hist.Hist
+	if q := h.Quantile(0.95); q != 0 {
 		t.Fatalf("cold histogram quantile = %v, want 0", q)
 	}
 	for i := 0; i < 95; i++ {
-		h.observe(1 * time.Millisecond)
+		h.Observe(1 * time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
-		h.observe(100 * time.Millisecond)
+		h.Observe(100 * time.Millisecond)
 	}
-	p50 := h.quantile(0.50, 64)
-	p99 := h.quantile(0.99, 64)
+	p50 := h.Quantile(0.50)
+	p99 := h.Quantile(0.99)
 	if p50 < 1*time.Millisecond || p50 > 4*time.Millisecond {
-		t.Errorf("p50 = %v, want ≈1–2ms (log₂ bucket upper bound)", p50)
+		t.Errorf("p50 = %v, want ≈1ms (its bucket's top)", p50)
 	}
 	if p99 < 100*time.Millisecond || p99 > 400*time.Millisecond {
-		t.Errorf("p99 = %v, want ≈128–256ms", p99)
+		t.Errorf("p99 = %v, want 100ms (clamped to the max)", p99)
 	}
 	if p99 <= p50 {
 		t.Errorf("p99 %v ≤ p50 %v", p99, p50)

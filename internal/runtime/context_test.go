@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,11 +175,13 @@ func TestTenantStats(t *testing.T) {
 	}
 }
 
-// TestLatencyWindow: with a window configured, percentile memory is
-// bounded to the window while counters keep counting everything.
-func TestLatencyWindow(t *testing.T) {
+// TestLatencyMemoryFixed: a stats shard's percentile memory is a
+// fixed-size histogram — no slice, map or pointer anywhere in it, so it
+// cannot grow with the sample count — while counters keep counting
+// everything.
+func TestLatencyMemoryFixed(t *testing.T) {
 	s, sources := quickstart(t)
-	svc := New(Config{Workers: 1, LatencyWindow: 8})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	st := engine.MustParseStrategy("PSE100")
 	for i := 0; i < 100; i++ {
@@ -191,16 +194,54 @@ func TestLatencyWindow(t *testing.T) {
 		t.Fatalf("Completed = %d, want 100", stats.Completed)
 	}
 	if stats.P99 <= 0 {
-		t.Fatal("windowed percentiles empty")
+		t.Fatal("percentiles empty")
 	}
-	for i := range svc.shards {
-		sh := &svc.shards[i]
-		sh.mu.Lock()
-		n := len(sh.lats.buf)
-		sh.mu.Unlock()
-		if n > 8 {
-			t.Fatalf("shard %d retains %d samples, window is 8", i, n)
+	var grows func(reflect.Type) bool
+	grows = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface, reflect.Chan, reflect.String:
+			return true
+		case reflect.Array:
+			return grows(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if grows(typ.Field(i).Type) {
+					return true
+				}
+			}
 		}
+		return false
+	}
+	lat, _ := reflect.TypeFor[shard]().FieldByName("lat")
+	for _, typ := range []reflect.Type{lat.Type, reflect.TypeFor[tenantCell]()} {
+		if grows(typ) {
+			t.Fatalf("%v can grow with the sample count", typ)
+		}
+	}
+}
+
+// TestLatencyIntervalIgnoresStaleShards: the difference of two latency
+// readings holds exactly the completions between them, whichever shards
+// older samples sit on — here a spike on shard 1 must not colour an
+// interval whose completions were all fast on shard 0.
+func TestLatencyIntervalIgnoresStaleShards(t *testing.T) {
+	svc := New(Config{Workers: 2})
+	defer svc.Close()
+	ok := &engine.Result{}
+	for range 100 {
+		svc.shards[1].record(ok, 100*time.Millisecond, "")
+	}
+	before := svc.Latency()
+	for range 10 {
+		svc.shards[0].record(ok, 100*time.Microsecond, "")
+	}
+	interval := svc.Latency()
+	interval.Sub(&before)
+	if n := interval.Count(); n != 10 {
+		t.Fatalf("interval holds %d completions, want 10", n)
+	}
+	if p99 := interval.Quantile(0.99); p99 > time.Millisecond {
+		t.Fatalf("interval p99 = %v, want ≈100µs: stale samples leaked in", p99)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/hist"
 )
 
 // Stats aggregates the service's serving metrics since start (or the last
@@ -36,7 +37,8 @@ type Stats struct {
 	SynthesisRuns uint64
 	Failures      uint64
 	// Latency percentiles over completed instances (wall clock, submit to
-	// terminal snapshot).
+	// terminal snapshot), read from a log-linear histogram: each is at most
+	// 1/16 above the exact nearest-rank value and never above Max.
 	P50, P95, P99, Max time.Duration
 	// AvgLatency is the mean wall-clock latency.
 	AvgLatency time.Duration
@@ -97,8 +99,7 @@ type Stats struct {
 }
 
 // TenantStats is one tenant's slice of the service metrics: completions,
-// errors, and latency percentiles over that tenant's instances (subject to
-// Config.LatencyWindow like the aggregate percentiles).
+// errors, and latency percentiles over that tenant's instances.
 type TenantStats struct {
 	Completed          uint64
 	Errors             uint64
@@ -169,7 +170,6 @@ func (st Stats) String() string {
 // is only contended by Stats readers).
 type shard struct {
 	mu        sync.Mutex
-	window    int // Config.LatencyWindow: max samples retained (0 = all)
 	completed uint64
 	errors    uint64
 	// shadowCompleted / shadowErrors tally Request.Shadow instances, which
@@ -181,7 +181,7 @@ type shard struct {
 	launched        uint64
 	synth           uint64
 	failures        uint64
-	lats            latRing // latency samples, ns
+	lat             hist.Hist
 	tenants         map[string]*tenantCell
 }
 
@@ -189,35 +189,7 @@ type shard struct {
 type tenantCell struct {
 	completed uint64
 	errors    uint64
-	lats      latRing
-}
-
-// latRing holds latency samples: an unbounded append when window is 0, a
-// ring of the most recent window samples otherwise (so a long-running
-// server's percentiles cover a sliding window at constant memory).
-type latRing struct {
-	window int
-	buf    []int64
-	n      int // total samples recorded
-}
-
-func (r *latRing) add(v int64) {
-	if r.window <= 0 {
-		r.buf = append(r.buf, v)
-		r.n++
-		return
-	}
-	if len(r.buf) < r.window {
-		r.buf = append(r.buf, v)
-	} else {
-		r.buf[r.n%r.window] = v
-	}
-	r.n++
-}
-
-func (r *latRing) reset() {
-	r.buf = r.buf[:0]
-	r.n = 0
+	lat       hist.Hist
 }
 
 // record folds one completed instance into the shard.
@@ -232,21 +204,21 @@ func (sh *shard) record(r *engine.Result, latency time.Duration, tenant string) 
 	sh.launched += uint64(r.Launched)
 	sh.synth += uint64(r.SynthesisRuns)
 	sh.failures += uint64(r.Failures)
-	sh.lats.add(int64(latency))
+	sh.lat.Observe(latency)
 	if tenant != "" {
 		cell := sh.tenants[tenant]
 		if cell == nil {
 			if sh.tenants == nil {
 				sh.tenants = make(map[string]*tenantCell)
 			}
-			cell = &tenantCell{lats: latRing{window: sh.window}}
+			cell = &tenantCell{}
 			sh.tenants[tenant] = cell
 		}
 		cell.completed++
 		if r.Err != nil {
 			cell.errors++
 		}
-		cell.lats.add(int64(latency))
+		cell.lat.Observe(latency)
 	}
 	sh.mu.Unlock()
 }
@@ -289,10 +261,10 @@ func (s *Service) Stats() Stats {
 		st.BreakerTrips = c.BreakerTrips
 		st.FailedQueries = c.Failed
 	}
-	var lats []int64
+	var lat hist.Snapshot
 	type tenantAgg struct {
 		completed, errors uint64
-		lats              []int64
+		lat               hist.Snapshot
 	}
 	var tenants map[string]*tenantAgg
 	for i := range s.shards {
@@ -307,7 +279,7 @@ func (s *Service) Stats() Stats {
 		st.Launched += sh.launched
 		st.SynthesisRuns += sh.synth
 		st.Failures += sh.failures
-		lats = append(lats, sh.lats.buf...)
+		sh.lat.AddTo(&lat)
 		for name, cell := range sh.tenants {
 			if tenants == nil {
 				tenants = make(map[string]*tenantAgg)
@@ -319,7 +291,7 @@ func (s *Service) Stats() Stats {
 			}
 			agg.completed += cell.completed
 			agg.errors += cell.errors
-			agg.lats = append(agg.lats, cell.lats.buf...)
+			cell.lat.AddTo(&agg.lat)
 		}
 		sh.mu.Unlock()
 	}
@@ -327,86 +299,31 @@ func (s *Service) Stats() Stats {
 		st.Tenants = make(map[string]TenantStats, len(tenants))
 		for name, agg := range tenants {
 			ts := TenantStats{Completed: agg.completed, Errors: agg.errors}
-			ts.P50, ts.P95, ts.P99, ts.Max, ts.AvgLatency = summarize(agg.lats)
+			ts.P50, ts.P95, ts.P99, ts.Max, ts.AvgLatency = agg.lat.Summary()
 			st.Tenants[name] = ts
 		}
 	}
-	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = summarize(lats)
+	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = lat.Summary()
 	return st
 }
 
-// summarize sorts ns samples in place and returns the latency summary.
-func summarize(lats []int64) (p50, p95, p99, max, avg time.Duration) {
-	if len(lats) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	slices.Sort(lats)
-	var sum int64
-	for _, l := range lats {
-		sum += l
-	}
-	return pct(lats, 0.50), pct(lats, 0.95), pct(lats, 0.99),
-		time.Duration(lats[len(lats)-1]), time.Duration(sum / int64(len(lats)))
-}
-
-// lastK appends up to the k most recently recorded samples to dst,
-// newest first.
-func (r *latRing) lastK(dst []int64, k int) []int64 {
-	n := len(r.buf)
-	if k > n {
-		k = n
-	}
-	if r.window <= 0 || n < r.window {
-		return append(dst, r.buf[n-k:]...)
-	}
-	for i := 0; i < k; i++ {
-		dst = append(dst, r.buf[(r.n-1-i)%r.window])
-	}
-	return dst
-}
-
-// RecentP99 returns the p99 over at most the `limit` most recent latency
-// samples per stats shard (limit <= 0 means every retained sample),
-// without the full Stats aggregation (tenant maps, counters) — cheap
-// enough for a background overload sampler to call several times a
-// second. An overload sampler passes the completion count of its last
-// interval as the limit, so the percentile reflects what just happened
-// rather than a retention window that older (possibly pathological)
-// samples still dominate.
-func (s *Service) RecentP99(limit int) time.Duration {
-	var lats []int64
+// Latency returns the completion-latency histogram merged over the stats
+// shards: cumulative since start or the last ResetStats, so the
+// completions between two readings are their difference
+// (hist.Snapshot.Sub).
+func (s *Service) Latency() hist.Snapshot {
+	var lat hist.Snapshot
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if limit <= 0 {
-			lats = append(lats, sh.lats.buf...)
-		} else {
-			lats = sh.lats.lastK(lats, limit)
-		}
+		sh.lat.AddTo(&lat)
 		sh.mu.Unlock()
 	}
-	if len(lats) == 0 {
-		return 0
-	}
-	slices.Sort(lats)
-	return pct(lats, 0.99)
+	return lat
 }
 
-// CompletedTotal returns the completed-instance count alone — the cheap
-// liveness companion to RecentP99 for overload samplers.
-func (s *Service) CompletedTotal() uint64 {
-	var total uint64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.completed
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// ResetStats zeroes the aggregate metrics (latency samples included); the
-// load driver scopes each run this way.
+// ResetStats zeroes the aggregate metrics (latency histograms included);
+// the load driver scopes each run this way.
 func (s *Service) ResetStats() {
 	s.submitted.Store(0)
 	s.shadowSubmitted.Store(0)
@@ -434,14 +351,8 @@ func (s *Service) ResetStats() {
 		sh.completed, sh.errors = 0, 0
 		sh.shadowCompleted, sh.shadowErrors = 0, 0
 		sh.work, sh.wasted, sh.launched, sh.synth, sh.failures = 0, 0, 0, 0, 0
-		sh.lats.reset()
+		sh.lat = hist.Hist{} // no Observe races this: records hold sh.mu
 		sh.tenants = nil
 		sh.mu.Unlock()
 	}
-}
-
-// pct returns the nearest-rank percentile of sorted ns samples.
-func pct(sorted []int64, p float64) time.Duration {
-	idx := int(p * float64(len(sorted)-1))
-	return time.Duration(sorted[idx])
 }

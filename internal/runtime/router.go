@@ -2,16 +2,18 @@ package runtime
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/hist"
 )
 
 // This file is the routing half of the cluster backend: consistent shard
 // placement, replica load balancing, the per-replica circuit breaker, and
-// the latency histogram that drives percentile hedging. cluster.go owns
-// the per-query lifecycle (attempts, retries, hedges) on top of it.
+// the per-shard latency histogram that drives percentile hedging.
+// cluster.go owns the per-query lifecycle (attempts, retries, hedges) on
+// top of it.
 
 // LBPolicy selects how a shard picks the replica for a query.
 type LBPolicy int
@@ -194,49 +196,6 @@ func (b *breaker) failure(now int64) {
 	}
 }
 
-// --- latency histogram ---
-
-// histBuckets spans 1ns..~9s in powers of two; slower completions land in
-// the last bucket.
-const histBuckets = 34
-
-// latHist is a lock-free log₂ histogram of completion latencies. It backs
-// percentile hedging: the hedge delay is the distribution's q-quantile,
-// so only the slowest (1-q) of requests pay a second backend round trip.
-type latHist struct {
-	counts [histBuckets]atomic.Uint64
-	total  atomic.Uint64
-}
-
-// observe records one completion latency.
-func (h *latHist) observe(d time.Duration) {
-	b := bits.Len64(uint64(max(d, 1))) - 1
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	h.counts[b].Add(1)
-	h.total.Add(1)
-}
-
-// quantile returns an upper bound of the q-quantile latency, or 0 when
-// fewer than minSamples completions have been observed (callers then skip
-// hedging until the histogram warms up).
-func (h *latHist) quantile(q float64, minSamples uint64) time.Duration {
-	total := h.total.Load()
-	if total < minSamples {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	var cum uint64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
-		if cum > rank {
-			return time.Duration(uint64(1) << uint(i+1)) // bucket upper bound
-		}
-	}
-	return time.Duration(uint64(1) << histBuckets)
-}
-
 // --- replica ---
 
 // replica is one backend copy within a shard: the backend itself, the
@@ -300,7 +259,7 @@ func (r *replica) exec(qs []Query, done func(error)) {
 type cshard struct {
 	replicas []*replica
 	rr       atomic.Uint64 // round-robin cursor / p2c sample stream
-	hist     latHist
+	lat      hist.Hist
 }
 
 // pick selects a replica for a new attempt under the policy, skipping

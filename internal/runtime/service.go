@@ -78,12 +78,6 @@ type Config struct {
 	// identical queries, and the attribute-result cache. The zero value
 	// disables the layer entirely (launches go straight to the Backend).
 	Query QueryConfig
-	// LatencyWindow, when > 0, bounds the latency samples retained per
-	// stats shard to the most recent LatencyWindow completions, so
-	// percentiles cover a sliding recent window and a long-running server
-	// holds constant memory. 0 (the default) retains every sample since
-	// the last ResetStats — exact percentiles for bounded load runs.
-	LatencyWindow int
 }
 
 // Service executes decision flow instances concurrently in wall-clock
@@ -147,10 +141,6 @@ func New(cfg Config) *Service {
 		cfg:    cfg,
 		adm:    newAdmission(cfg.MaxInFlightTasks),
 		shards: make([]shard, cfg.Workers),
-	}
-	for i := range s.shards {
-		s.shards[i].window = cfg.LatencyWindow
-		s.shards[i].lats.window = cfg.LatencyWindow
 	}
 	s.cluster, _ = cfg.Backend.(*Cluster)
 	if cfg.Query.enabled() {

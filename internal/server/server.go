@@ -44,6 +44,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/flows"
+	"repro/internal/hist"
 	"repro/internal/runtime"
 )
 
@@ -64,8 +65,7 @@ type Config struct {
 	ShedQueueDepth int
 	// ShedP99 sheds new work while the service's recent p99 exceeds this
 	// watermark (0 disables). The p99 is sampled in the background every
-	// WatermarkInterval; pair it with runtime.Config.LatencyWindow so the
-	// percentile covers a recent window rather than all time.
+	// WatermarkInterval, over the completions of that interval alone.
 	ShedP99 time.Duration
 	// WatermarkInterval is the p99 sampling period (0 = 250ms).
 	WatermarkInterval time.Duration
@@ -560,30 +560,27 @@ func (s *Server) tenantFor(name string) *tenant {
 }
 
 // watchP99 samples the tail latency of the completions of the last
-// interval and flips the overload bit. Judging only the interval's own
-// completions (not the whole retention window) keeps the bit honest in
-// both directions: it cannot latch — a quiet interval (shedding blocked
-// everything, backlog drained) clears it so admitted traffic probes the
-// backend — and it cannot duty-cycle on stale samples, because a
-// recovered backend's fresh completions read fast immediately instead
-// of waiting for thousands of spike-era samples to age out of the ring.
+// interval and flips the overload bit. The interval's completions are the
+// difference of two readings of the cumulative latency histogram, so the
+// bit is honest in both directions: it cannot latch — a quiet interval
+// (shedding blocked everything, backlog drained) clears it so admitted
+// traffic probes the backend — and it cannot duty-cycle on stale samples,
+// because a recovered backend's fresh completions read fast immediately,
+// whichever stats shards the spike-era samples sit on.
 func (s *Server) watchP99() {
 	tick := time.NewTicker(s.cfg.WatermarkInterval)
 	defer tick.Stop()
-	var lastCompleted uint64
+	var prev hist.Snapshot
 	for {
 		select {
 		case <-s.stopWake:
 			return
 		case <-tick.C:
-			completed := s.svc.CompletedTotal()
-			delta := completed - lastCompleted
-			lastCompleted = completed
-			if delta == 0 {
-				s.p99High.Store(false)
-				continue
-			}
-			s.p99High.Store(s.svc.RecentP99(int(delta)) > s.cfg.ShedP99)
+			cur := s.svc.Latency()
+			interval := cur
+			interval.Sub(&prev)
+			prev = cur
+			s.p99High.Store(interval.Quantile(0.99) > s.cfg.ShedP99) // 0 when quiet
 		}
 	}
 }
