@@ -34,17 +34,18 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# internal/runtime, internal/client, internal/hist and internal/server are
-# the concurrent core (instance mailboxes, run queue, the multiplexed dfbin
-# connection, the lock-free latency histogram, the eval countdown that runs
-# on service workers) and their interleavings differ with the number of Ps:
-# on top of the default GOMAXPROCS they run at 1, 2 and 4. internal/server
-# runs on its own: beside it, the runtime's millisecond cluster deadlines
-# miss under the race detector.
+# internal/runtime, internal/client, internal/hist, internal/load and
+# internal/server are the concurrent core (instance mailboxes, run queue,
+# the multiplexed dfbin connection, the lock-free latency histogram, the
+# load pacer's closed-loop chains, the eval countdown that runs on service
+# workers) and their interleavings differ with the number of Ps: on top of
+# the default GOMAXPROCS they run at 1, 2 and 4. internal/server runs on
+# its own: beside it, the runtime's millisecond cluster deadlines miss
+# under the race detector.
 RACE_CPUS ?= 1,2,4
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client ./internal/hist
+	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client ./internal/hist ./internal/load
 	$(GO) test -race -cpu $(RACE_CPUS) ./internal/server
 
 # Smoke-run every benchmark once; catches bit-rot without burning CI time.
@@ -169,15 +170,18 @@ N ?= 10
 bench-pairs:
 	$(GO) run ./cmd/benchpairs -parent '$(PARENT)' -workload '$(WORKLOAD)' -n $(N) -args '$(ARGS)'
 
-# Capture CPU/heap pprof profiles of the serving hot path (dfserve closed
-# loop). CI uploads prof/ with the bench output as workflow artifacts, so
-# every perf PR leaves a profile trail for regression archaeology:
-#   go tool pprof prof/dfserve-cpu.pprof
+# Capture CPU/heap pprof profiles of the serving hot path: the closed-loop
+# serving benchmarks of quickstart and the 64-node pattern, PROFILE_N
+# instances each, one profile pair per benchmark. CI uploads prof/ with the
+# bench output as workflow artifacts, so every perf PR leaves a profile
+# trail for regression archaeology:
+#   go tool pprof prof/runtime.test prof/serve-quickstart-cpu.pprof
 PROFILE_N ?= 200000
+PROFILE_BENCH = $(GO) test -run '^$$' -benchtime $(PROFILE_N)x -o prof/runtime.test ./internal/runtime
 profile-serving:
 	mkdir -p prof
-	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -cpuprofile prof/dfserve-cpu.pprof -memprofile prof/dfserve-mem.pprof
-	$(GO) run ./cmd/dfserve -n $(PROFILE_N) -schema pattern -cpuprofile prof/dfserve-pattern-cpu.pprof -memprofile prof/dfserve-pattern-mem.pprof
+	$(PROFILE_BENCH) -bench 'ServeQuickstartPSE100$$' -cpuprofile prof/serve-quickstart-cpu.pprof -memprofile prof/serve-quickstart-mem.pprof
+	$(PROFILE_BENCH) -bench 'ServePattern64PSE100$$' -cpuprofile prof/serve-pattern-cpu.pprof -memprofile prof/serve-pattern-mem.pprof
 
 # Non-test Go lines, the tracked number of ROADMAP's North-star goal 2:
 # raw lines of every *.go file except *_test.go, for the root module (all

@@ -2,12 +2,11 @@
 // multi-tenant front end (internal/server) over the wall-clock serving
 // runtime, speaking both wires at once — HTTP/JSON on -addr and the
 // dfbin binary protocol on -binaddr, through one shared admission,
-// tenant, and drain core. It accepts the same backend / query-layer /
-// cluster flags as dfserve (shared via internal/cliconf, including
-// -config file defaults), adds the front end's tenant and overload
-// knobs, and shuts down gracefully on SIGTERM/SIGINT: stop accepting on
-// both listeners, flush every in-flight instance to its caller, print
-// the final stats, exit.
+// tenant, and drain core. Its backend / query-layer / cluster flags come
+// from internal/cliconf (including -config file defaults), beside the
+// front end's tenant and overload knobs. It shuts down gracefully on
+// SIGTERM/SIGINT: stop accepting on both listeners, flush every in-flight
+// instance to its caller, print the final stats, exit.
 //
 // Examples:
 //

@@ -1,42 +1,31 @@
-// Command dfserve load-tests the concurrent wall-clock serving runtime:
-// it fires decision flow instances — as a Poisson open workload or a
-// fixed-concurrency closed workload — and prints a latency/throughput
+// Command dfserve load-tests a dfsd daemon: it fires decision flow
+// instances — as a Poisson open workload or a fixed-concurrency closed
+// workload — through the typed client and prints a latency/throughput
 // report. It is the wall-clock analogue of the paper's §5 open-workload
-// experiment, run on real goroutines instead of the discrete-event
-// simulator.
-//
-// By default the service runs in-process. With -remote the same
-// open/closed-loop generator drives a dfsd daemon through the typed
-// client instead — over JSON/HTTP (http://host:port) or the dfbin binary
-// protocol (dfbin://host:port) — so the full network stack of either
-// wire (client pool, codec, tenant admission, server, runtime) is
-// benchmarkable end-to-end.
+// experiment, run against the real serving stack: client pool, JSON/HTTP
+// (http://host:port) or dfbin (dfbin://host:port) wire, tenant admission,
+// server and runtime. The daemon's own flags configure that stack; after
+// the run dfserve prints the daemon's view of it (admission for the
+// tenant, and the query-layer and cluster lines of its service stats).
 //
 // Examples:
 //
-//	dfserve                                  # peak throughput, quickstart schema, PSE100
-//	dfserve -n 200000 -strategy PCE0         # serial strategy ceiling
-//	dfserve -schema pattern                  # Table 1 64-node generated pattern
-//	dfserve -rate 20000 -n 100000            # 20k inst/s Poisson open workload
-//	dfserve -backend latency -base 500us     # inject 500µs per-query latency
-//	dfserve -backend simdb -scale 0.01       # paced CPU/disk sim, 100× compressed
-//	dfserve -shards 4 -replicas 2 -hedge 3ms # sharded replicated cluster, hedged
-//	dfserve -remote 127.0.0.1:8180           # drive a dfsd daemon over HTTP
-//	dfserve -remote dfbin://127.0.0.1:8181   # same, over the binary protocol
-//	dfserve -remote 127.0.0.1:8180 -tenant acme -reqbatch 64
-//	                                         # tagged tenant, 64 instances/request
+//	dfsd -batch 32 -dedup -cache 65536 &    # the stack under test
+//	dfserve -remote 127.0.0.1:8180          # peak throughput over HTTP
+//	dfserve -remote dfbin://127.0.0.1:8181  # same, over the binary protocol
+//	dfserve -remote 127.0.0.1:8180 -rate 20000 -n 100000
+//	                                        # 20k inst/s Poisson open workload
+//	dfserve -remote 127.0.0.1:8180 -tenant acme -reqbatch 64 -schema pattern
+//	                                        # tagged tenant, 64 instances/request
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strings"
 
-	"repro/internal/cliconf"
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/flows"
@@ -45,36 +34,26 @@ import (
 )
 
 func main() {
-	var cf cliconf.Flags
-	fs := flag.CommandLine
-	cf.Register(fs)
 	var (
-		schemaName = fs.String("schema", "quickstart", "schema to serve: quickstart | pattern (Table 1 generator)")
-		strategy   = fs.String("strategy", "PSE100", "strategy code, e.g. PSE100, PCE0, NCC0")
-		count      = fs.Int("n", 100000, "instances to fire")
-		rate       = fs.Float64("rate", 0, "Poisson arrival rate in inst/s; 0 = closed loop (peak throughput)")
-		conc       = fs.Int("c", 0, "closed-loop outstanding instances (0 = 4x workers; remote: outstanding requests, 0 = 64)")
-		spread     = fs.Int("spread", 1, "spread instances over this many distinct source vectors (1 = identical instances)")
-		remote     = fs.String("remote", "", "drive a dfsd server at this address instead of serving in-process (http://host:port for JSON, dfbin://host:port for the binary protocol; bare host:port = HTTP)")
-		tenant     = fs.String("tenant", "", "remote: tenant to tag requests with")
-		reqBatch   = fs.Int("reqbatch", 1, "remote: instances per request (amortizes round trips)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the load run to this file (go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile after the load run to this file")
+		remote     = flag.String("remote", "", "dfsd address to drive (required): http://host:port for JSON, dfbin://host:port for the binary protocol; bare host:port = HTTP")
+		tenant     = flag.String("tenant", "", "tenant to tag requests with")
+		schemaName = flag.String("schema", "quickstart", "schema to drive: quickstart | pattern (Table 1 generator)")
+		strategy   = flag.String("strategy", "PSE100", "strategy code, e.g. PSE100, PCE0, NCC0")
+		count      = flag.Int("n", 100000, "instances to fire")
+		rate       = flag.Float64("rate", 0, "Poisson arrival rate in inst/s; 0 = closed loop (peak throughput)")
+		conc       = flag.Int("c", 64, "closed-loop outstanding requests")
+		spread     = flag.Int("spread", 1, "spread instances over this many distinct source vectors (1 = identical instances)")
+		reqBatch   = flag.Int("reqbatch", 1, "instances per request (amortizes round trips)")
+		seed       = flag.Int64("seed", 1, "seed for the Poisson arrivals")
 	)
 	flag.Parse()
-	if err := cliconf.ApplyConfigFile(fs, cf.ConfigPath); err != nil {
+	if *remote == "" {
+		fail(fmt.Errorf("-remote is required: start a daemon with dfsd and pass its address"))
+	}
+	if _, err := engine.ParseStrategy(*strategy); err != nil {
 		fail(err)
 	}
-	if cf.DumpConfig {
-		fmt.Print(cliconf.Dump(fs))
-		return
-	}
-
-	st, err := engine.ParseStrategy(*strategy)
-	if err != nil {
-		fail(err)
-	}
-	schema, sources, err := flows.ByName(*schemaName)
+	_, sources, err := flows.ByName(*schemaName)
 	if err != nil {
 		fail(err)
 	}
@@ -85,151 +64,60 @@ func main() {
 		}
 	}
 
-	// Profiling brackets the load run only, so the profile is the serving
-	// (or client) hot path — setup and report rendering excluded.
-	profStart := func() func() {
-		var cpuFile *os.File
-		if *cpuprofile != "" {
-			f, err := os.Create(*cpuprofile)
-			if err != nil {
-				fail(err)
-			}
-			if err := pprof.StartCPUProfile(f); err != nil {
-				fail(err)
-			}
-			cpuFile = f
-		}
-		return func() {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				cpuFile.Close()
-			}
-			if *memprofile != "" {
-				f, ferr := os.Create(*memprofile)
-				if ferr != nil {
-					fail(ferr)
-				}
-				runtime.GC() // surface only live steady-state allocations
-				if ferr := pprof.WriteHeapProfile(f); ferr != nil {
-					fail(ferr)
-				}
-				f.Close()
-			}
-		}
-	}
-
-	if *remote != "" {
-		// The backend/query-layer/cluster flags configure an in-process
-		// service; in remote mode that stack lives in the daemon and was
-		// configured by dfsd's own flags. Reject rather than silently
-		// benchmark a configuration that was never applied.
-		serverSide := cliconf.ServerSideFlagNames()
-		var misplaced []string
-		fs.Visit(func(f *flag.Flag) {
-			if serverSide[f.Name] {
-				misplaced = append(misplaced, "-"+f.Name)
-			}
-		})
-		if len(misplaced) > 0 {
-			fail(fmt.Errorf("flag(s) %s configure the in-process service and do not apply with -remote; pass them to dfsd instead",
-				strings.Join(misplaced, " ")))
-		}
-		runRemote(*remote, *tenant, *schemaName, *strategy, sources, sourcesFor,
-			*count, *rate, *conc, *reqBatch, cf.Seed, profStart)
-		return
-	}
-
-	built, err := cf.Build()
-	if err != nil {
-		fail(err)
-	}
-	svc := built.Service
-	defer svc.Close()
-
-	mode := "closed loop (peak throughput)"
-	if *rate > 0 {
-		mode = fmt.Sprintf("open workload, Poisson %.0f inst/s", *rate)
-	}
-	fmt.Printf("serving %s under %s — %d instances, %s, %s\n",
-		*schemaName, st, *count, mode, cf.Describe())
-
-	profStop := profStart()
-	rep, err := rt.RunLoad(svc, rt.Load{
-		Schema:      schema,
-		Sources:     sources,
-		SourcesFor:  sourcesFor,
-		Strategy:    st,
-		Count:       *count,
-		Rate:        *rate,
-		Concurrency: *conc,
-		Seed:        cf.Seed,
-	})
-	profStop()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println(rep)
-	if sum := built.SimdbSummary(); sum != "" {
-		fmt.Println(sum)
-	}
-	built.Stop()
-}
-
-// runRemote drives a dfsd daemon through the typed client: same generator
-// shapes, measured at the client across the real network stack.
-func runRemote(addr, tenant, schemaName, strategy string,
-	sources map[string]value.Value, sourcesFor func(i int) map[string]value.Value,
-	count int, rate float64, conc, reqBatch int, seed int64, profStart func() func()) {
-	c, err := client.New(addr,
-		client.WithTenant(tenant),
-		client.WithMaxConns(max(conc, 64)))
+	c, err := client.New(*remote,
+		client.WithTenant(*tenant),
+		client.WithMaxConns(max(*conc, 64)))
 	if err != nil {
 		fail(err)
 	}
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.Health(ctx); err != nil {
-		fail(fmt.Errorf("server at %s not healthy: %w", addr, err))
+		fail(fmt.Errorf("server at %s not healthy: %w", *remote, err))
 	}
 
 	mode := "closed loop (peak throughput)"
-	if rate > 0 {
-		mode = fmt.Sprintf("open workload, Poisson %.0f inst/s", rate)
+	if *rate > 0 {
+		mode = fmt.Sprintf("open workload, Poisson %.0f inst/s", *rate)
 	}
 	who := ""
-	if tenant != "" {
-		who = fmt.Sprintf(" as tenant %q", tenant)
+	if *tenant != "" {
+		who = fmt.Sprintf(" as tenant %q", *tenant)
 	}
 	fmt.Printf("driving %s%s over %s — schema %s under %s, %d instances, %s, %d inst/request\n",
-		addr, who, c.Transport(), schemaName, strategy, count, mode, reqBatch)
+		*remote, who, c.Transport(), *schemaName, *strategy, *count, mode, *reqBatch)
 
-	profStop := profStart()
 	rep, err := client.RunLoad(ctx, c, client.Load{
-		Schema:      schemaName,
-		Strategy:    strategy,
+		Schema:      *schemaName,
+		Strategy:    *strategy,
 		Sources:     sources,
 		SourcesFor:  sourcesFor,
-		Count:       count,
-		Rate:        rate,
-		Concurrency: conc,
-		BatchSize:   reqBatch,
-		Seed:        seed,
+		Count:       *count,
+		Rate:        *rate,
+		Concurrency: *conc,
+		BatchSize:   *reqBatch,
+		Seed:        *seed,
 	})
-	profStop()
 	if err != nil {
 		fail(err)
 	}
 	fmt.Println(rep)
 
-	// The server-side view closes the loop: how the runtime saw this load
-	// (per-tenant slice included when we ran tagged).
-	if stats, err := c.Stats(ctx); err == nil {
-		fmt.Printf("server: uptime=%dms draining=%v\n", stats.UptimeMs, stats.Draining)
-		if tenant != "" {
-			if adm, ok := stats.Tenants[tenant]; ok {
-				fmt.Printf("server tenant %s: accepted=%d shed rate/quota/queue=%d/%d/%d in-flight=%d\n",
-					tenant, adm.Accepted, adm.ShedRate, adm.ShedQuota, adm.ShedQueue, adm.InFlight)
-			}
+	// The server-side view closes the loop: how the daemon admitted this
+	// load, and what its query layer and cluster did since it started.
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		return
+	}
+	fmt.Printf("server: uptime=%dms draining=%v\n", stats.UptimeMs, stats.Draining)
+	if adm, ok := stats.Tenants[*tenant]; ok && *tenant != "" {
+		fmt.Printf("server tenant %s: accepted=%d shed rate/quota/queue=%d/%d/%d in-flight=%d\n",
+			*tenant, adm.Accepted, adm.ShedRate, adm.ShedQuota, adm.ShedQueue, adm.InFlight)
+	}
+	var svc rt.Stats
+	if json.Unmarshal(stats.Service, &svc) == nil {
+		if layers := svc.Layers(); layers != "" {
+			fmt.Println(layers)
 		}
 	}
 }

@@ -308,8 +308,7 @@ func NewPacedSimBackend(p DBParams, seed int64, scale float64) *PacedSimBackend 
 	return rt.NewPacedSim(p, seed, scale)
 }
 
-// RunLoad fires a load at the service and reports throughput and latency;
-// cmd/dfserve is the CLI wrapper.
+// RunLoad fires a load at the service and reports throughput and latency.
 func RunLoad(s *Service, l ServiceLoad) (LoadReport, error) { return rt.RunLoad(s, l) }
 
 // RunLoadContext is RunLoad with cancellation: once ctx is done the
@@ -403,7 +402,7 @@ type RemoteLoad = client.Load
 type RemoteLoadReport = client.Report
 
 // RunRemoteLoad fires the load at the server through the client;
-// `dfserve -remote` is the CLI wrapper.
+// cmd/dfserve is the CLI wrapper.
 func RunRemoteLoad(ctx context.Context, c *ServerClient, l RemoteLoad) (RemoteLoadReport, error) {
 	return client.RunLoad(ctx, c, l)
 }

@@ -1,8 +1,7 @@
-// Package cliconf is the shared CLI configuration of the serving
-// commands: cmd/dfserve (in-process load generator) and cmd/dfsd (network
-// daemon) accept the same backend / query-layer / cluster flags, and this
-// package registers, validates, and materializes them exactly once. A
-// flag added here shows up in both commands with identical semantics.
+// Package cliconf is cmd/dfsd's serving configuration: it registers,
+// validates and materializes the backend / query-layer / cluster flags
+// (plus the peer-fleet and capture groups), and loads and dumps them as
+// -config files.
 package cliconf
 
 import (
@@ -15,8 +14,8 @@ import (
 	"repro/internal/simdb"
 )
 
-// Flags is the shared serving configuration; Register wires it into a
-// FlagSet, Build materializes the runtime.Service.
+// Flags is the serving configuration; Register wires it into a FlagSet,
+// Build materializes the runtime.Service.
 type Flags struct {
 	Workers  int
 	InFlight int
@@ -54,7 +53,7 @@ type Flags struct {
 	DumpConfig bool
 }
 
-// Register declares every shared flag on fs.
+// Register declares every serving flag on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.Workers, "workers", 0, "service workers (0 = GOMAXPROCS)")
 	fs.IntVar(&f.InFlight, "inflight", 0, "global in-flight task bound (0 = 16x workers)")
@@ -64,7 +63,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.Jitter, "jitter", 0.2, "latency backend: relative jitter in [0,1)")
 	fs.IntVar(&f.Parallel, "parallel", 0, "latency backend: max concurrent queries (0 = unbounded)")
 	fs.Float64Var(&f.Scale, "scale", 0.01, "simdb backend: wall-clock ms per virtual ms")
-	fs.Int64Var(&f.Seed, "seed", 1, "seed for arrivals and the simulated database")
+	fs.Int64Var(&f.Seed, "seed", 1, "seed for the simulated database: latency jitter, injected faults and simdb")
 	fs.Float64Var(&f.FailRate, "failrate", 0, "fault injection: fraction of queries erroring (latency/simdb backends)")
 	fs.Float64Var(&f.StallRate, "stallrate", 0, "fault injection: fraction of queries never completing (latency/simdb backends)")
 	fs.IntVar(&f.Batch, "batch", 0, "query layer: max queries per combined backend call (0/1 = no batching)")
@@ -84,10 +83,9 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.DumpConfig, "dumpconfig", false, "print the effective configuration as a -config file and exit")
 }
 
-// PeerFlags is the front-end fleet configuration — daemon-only (dfsd
-// registers it beside the shared Flags; dfserve has no peers), but it
-// lives here so the config-file machinery (ApplyConfigFile / Dump)
-// covers `peers = ...` lines exactly like every other flag.
+// PeerFlags is the front-end fleet configuration, registered beside
+// Flags so the config-file machinery (ApplyConfigFile / Dump) covers
+// `peers = ...` lines exactly like every other flag.
 type PeerFlags struct {
 	// Peers is the comma-separated full fleet member list of dfbin
 	// addresses, this node's own included. Empty disables the tier.
@@ -116,7 +114,7 @@ func (p *PeerFlags) Members() []string {
 	return out
 }
 
-// Validate checks the peer flags against the shared flags: peer routing
+// Validate checks the peer flags against the serving flags: peer routing
 // keys off the query layer's sharing tables, so a fleet without dedup or
 // cache would forward queries only to re-run every one at the home.
 func (p *PeerFlags) Validate(f *Flags) error {
@@ -149,7 +147,7 @@ func (p *PeerFlags) Validate(f *Flags) error {
 }
 
 // CaptureFlags groups dfsd's eval-capture flags, registered alongside the
-// shared serving flags so -config files can set them too.
+// serving flags so -config files can set them too.
 type CaptureFlags struct {
 	// Dir is the capture directory; empty disables capture.
 	Dir string
@@ -187,31 +185,7 @@ func (c *CaptureFlags) Validate() error {
 	return nil
 }
 
-// ServerSideFlagNames lists the flags Register declares that configure
-// the in-process serving stack — everything except -seed (which also
-// drives the load generator) and -dumpconfig (pure output, no stack
-// effect). -config IS in the set: a config file configures the local
-// stack, so combining it with dfserve -remote must error loudly rather
-// than silently configure a stack that will never be built. A command
-// that is not going to Build() the stack (dfserve -remote drives a
-// daemon that was configured with its own flags) uses this to reject
-// such flags instead of silently ignoring them. The set is derived from
-// Register itself so a new flag can never be forgotten here.
-func ServerSideFlagNames() map[string]bool {
-	var f Flags
-	fs := flag.NewFlagSet("cliconf", flag.ContinueOnError)
-	f.Register(fs)
-	m := make(map[string]bool)
-	fs.VisitAll(func(fl *flag.Flag) {
-		if fl.Name != "seed" && fl.Name != "dumpconfig" {
-			m[fl.Name] = true
-		}
-	})
-	return m
-}
-
-// Validate rejects inconsistent combinations (same rules dfserve has
-// always enforced).
+// Validate rejects inconsistent combinations.
 func (f *Flags) Validate() error {
 	if f.StallRate > 0 {
 		// A stalled query never completes on its own; only a cluster
@@ -328,9 +302,8 @@ func (f *Flags) Build() (*Built, error) {
 	return bu, nil
 }
 
-// Describe renders the configured stack for startup banners: backend name
-// plus the optional query-layer and cluster suffixes dfserve has always
-// printed.
+// Describe renders the configured stack for the startup banner: backend
+// name plus the optional query-layer and cluster suffixes.
 func (f *Flags) Describe() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s backend", f.Backend)

@@ -26,25 +26,6 @@ func writeTemp(t *testing.T, name, content string) string {
 	return path
 }
 
-// The server-side set is what dfserve -remote rejects; -config must be
-// in it (a config file configures the local stack, meaningless against
-// a remote daemon), while -seed and -dumpconfig must stay usable.
-func TestServerSideFlagNamesMembership(t *testing.T) {
-	names := ServerSideFlagNames()
-	if !names["config"] {
-		t.Error("config must be server-side: -config with -remote should error loudly")
-	}
-	if names["seed"] {
-		t.Error("seed must not be server-side: it drives the load generator too")
-	}
-	if names["dumpconfig"] {
-		t.Error("dumpconfig must not be server-side: it only prints configuration")
-	}
-	if !names["backend"] || !names["shards"] {
-		t.Error("derived set is missing ordinary stack flags")
-	}
-}
-
 func TestApplyConfigFileTOML(t *testing.T) {
 	fs, f := newSet(t)
 	path := writeTemp(t, "dfsd.toml", `

@@ -5,8 +5,8 @@
 // picked from the address scheme ("http://" vs "dfbin://") or forced
 // with WithTransport, and retry-on-shed honoring the server's
 // retry-after hint sits above the transports so overload behaves
-// identically on both wires. RunLoad drives the same open/closed-loop
-// generators as the in-process runtime against a remote server, so the
+// identically on both wires. RunLoad paces a remote server with the same
+// open/closed-loop pacer (internal/load) as the in-process runtime, so the
 // full network stack is benchmarkable end-to-end over either protocol.
 package client
 

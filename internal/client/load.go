@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/hist"
+	"repro/internal/load"
 	"repro/internal/value"
 )
 
@@ -94,19 +93,19 @@ func RunLoad(ctx context.Context, c *Client, l Load) (Report, error) {
 	if l.Count <= 0 {
 		return Report{}, fmt.Errorf("client: load needs Count > 0")
 	}
-	if l.BatchSize <= 0 {
-		l.BatchSize = 1
-	}
 	if l.Concurrency <= 0 {
 		l.Concurrency = 64
 	}
 	r := &runState{c: c, l: l, ctx: ctx}
-	start := time.Now()
+	send := r.send
 	if l.Rate > 0 || l.Arrivals != nil {
-		r.runOpen()
-	} else {
-		r.runClosed()
+		send = r.sendAsync
 	}
+	start := time.Now()
+	load.Run(ctx, load.Plan{
+		Count: l.Count, Batch: l.BatchSize, Rate: l.Rate, Arrivals: l.Arrivals,
+		Concurrency: l.Concurrency, Seed: l.Seed,
+	}, send)
 	elapsed := time.Since(start)
 
 	rep := Report{
@@ -194,67 +193,15 @@ func (r *runState) fire(lo, hi int) {
 	r.lat.Observe(lat)
 }
 
-// runClosed keeps Concurrency requests outstanding until Count instances
-// have been fired.
-func (r *runState) runClosed() {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < r.l.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r.ctx.Err() == nil {
-				lo := int(next.Add(int64(r.l.BatchSize))) - r.l.BatchSize
-				if lo >= r.l.Count {
-					return
-				}
-				r.fire(lo, min(lo+r.l.BatchSize, r.l.Count))
-			}
-		}()
-	}
-	wg.Wait()
+// send runs one request to completion on the calling goroutine: the
+// closed loop's chains block in it, one round trip at a time.
+func (r *runState) send(lo, hi int, done func(struct{})) {
+	r.fire(lo, hi)
+	done(struct{}{})
 }
 
-// runOpen paces open-loop arrivals — Poisson at the offered rate, or the
-// explicit Arrivals schedule when one is set; each arrival is one request
-// of BatchSize instances, so the Poisson instance rate is Rate.
-func (r *runState) runOpen() {
-	var rng *rand.Rand
-	if r.l.Arrivals == nil {
-		rng = rand.New(rand.NewSource(r.l.Seed))
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	next := start
-	timer := time.NewTimer(0)
-	defer timer.Stop()
-	<-timer.C
-	for lo := 0; lo < r.l.Count; lo += r.l.BatchSize {
-		if r.l.Arrivals != nil {
-			next = start.Add(r.l.Arrivals(lo))
-		}
-		if d := time.Until(next); d > 0 {
-			timer.Reset(d)
-			select {
-			case <-timer.C:
-			case <-r.ctx.Done():
-			}
-		}
-		if r.ctx.Err() != nil {
-			break
-		}
-		hi := min(lo+r.l.BatchSize, r.l.Count)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			r.fire(lo, hi)
-		}(lo, hi)
-		if rng != nil {
-			// Exponential gap scaled by the batch size keeps the instance
-			// rate at Rate regardless of batching.
-			gap := rng.ExpFloat64() / r.l.Rate * float64(hi-lo) * float64(time.Second)
-			next = next.Add(time.Duration(gap))
-		}
-	}
-	wg.Wait()
+// sendAsync runs one request on a goroutine of its own, so the open loop
+// keeps its schedule while the round trip is out.
+func (r *runState) sendAsync(lo, hi int, done func(struct{})) {
+	go r.send(lo, hi, done)
 }

@@ -1,8 +1,7 @@
 // Package flows holds the built-in decision flows shared by the serving
-// CLIs: cmd/dfserve runs them in-process, cmd/dfsd serves them over HTTP,
-// and dfserve's -remote mode names them on the server. Keeping them in one
-// package guarantees both ends of a remote benchmark execute the same
-// schema.
+// CLIs: cmd/dfsd serves them over both wires and cmd/dfserve names them
+// on the daemon. Keeping them in one package guarantees both ends of a
+// remote benchmark execute the same schema.
 package flows
 
 import (

@@ -146,6 +146,31 @@ func TestAllocsStatsFlat(t *testing.T) {
 	}
 }
 
+// TestAllocsRunLoadClosed pins the closed-loop load generator: a RunLoad
+// of quickstart over Instant allocates nothing per instance, its chains
+// handing each completion's Done straight to the next Submit. The per-run
+// setup (stats reset and read, the chains) is spread over the count; one
+// allocation per instance would read as 1 here.
+func TestAllocsRunLoadClosed(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const count = 20000
+	s, sources := quickstart(t)
+	svc := New(Config{Backend: Instant{}})
+	defer svc.Close()
+	l := Load{Schema: s, Sources: sources, Strategy: engine.MustParseStrategy("PSE100"), Count: count}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := RunLoad(svc, l); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.4f allocs per instance (%.0f per run)", allocs/count, allocs)
+	if allocs/count >= 0.01 {
+		t.Fatalf("%.4f allocs per instance, want 0", allocs/count)
+	}
+}
+
 // The limits are counts measured with go1.24 on linux/amd64 (quickstart
 // under PSE100 launches three foreign tasks).
 const (

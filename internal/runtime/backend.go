@@ -12,8 +12,9 @@
 // The entry point is Service (see New): a worker pool that steps
 // instances, a global admission bound on in-flight database tasks, and
 // per-instance state pooling via sync.Pool so the steady-state hot path is
-// allocation-free. Load generation (Poisson open loop and bounded closed
-// loop) lives in RunLoad; cmd/dfserve is the CLI driver.
+// allocation-free. RunLoad drives a Service with a Poisson open loop or a
+// bounded closed loop paced by internal/load; cmd/dfserve drives a dfsd
+// daemon with the same pacer.
 package runtime
 
 import (

@@ -57,7 +57,7 @@ func reportQueryMetrics(b *testing.B, st Stats) {
 
 // BenchmarkServeQuickstartPSE100 measures peak serving throughput for the
 // quickstart schema — the engine-side ceiling with a zero-latency backend
-// (the acceptance number for cmd/dfserve).
+// (and the normalizer of make bench-guard).
 func BenchmarkServeQuickstartPSE100(b *testing.B) {
 	s, sources := quickstart(b)
 	svc := New(Config{})

@@ -105,7 +105,7 @@ func TestRunLoadContextCancel(t *testing.T) {
 }
 
 // TestRunLoadContextCancelOpen covers the open-loop generator's cancel
-// path (timer interrupt + wait-group compensation).
+// path (the cancel interrupts the wait for the next arrival).
 func TestRunLoadContextCancelOpen(t *testing.T) {
 	s, sources := quickstart(t)
 	svc := New(Config{})
@@ -124,6 +124,26 @@ func TestRunLoadContextCancelOpen(t *testing.T) {
 	}
 	if rep.Stats.Completed == 0 {
 		t.Fatal("no instances completed before the cancel")
+	}
+}
+
+// TestRunLoadStopsOnClose: closing the service mid-run stops either loop
+// — neither paces nor claims out the rest of an hours-long load against a
+// closed service — and RunLoad returns ErrClosed.
+func TestRunLoadStopsOnClose(t *testing.T) {
+	s, sources := quickstart(t)
+	for _, rate := range []float64{1000, 0} {
+		svc := New(Config{})
+		time.AfterFunc(30*time.Millisecond, svc.Close)
+		_, err := RunLoad(svc, Load{
+			Schema: s, Sources: sources,
+			Strategy: engine.MustParseStrategy("PSE100"),
+			Count:    1 << 30,
+			Rate:     rate,
+		})
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("rate %v: err = %v, want ErrClosed", rate, err)
+		}
 	}
 }
 

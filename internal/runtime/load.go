@@ -3,13 +3,11 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/load"
 	"repro/internal/value"
 )
 
@@ -56,16 +54,6 @@ type Report struct {
 	OfferedRate float64
 }
 
-// String renders the report for CLI output.
-func (r Report) String() string {
-	head := fmt.Sprintf("instances=%d duration=%v throughput=%.0f inst/s",
-		r.Stats.Completed, r.Duration.Round(time.Millisecond), r.Throughput)
-	if r.OfferedRate > 0 {
-		head += fmt.Sprintf(" (offered %.0f inst/s)", r.OfferedRate)
-	}
-	return head + "\n" + r.Stats.String()
-}
-
 // RunLoad fires the load at the service, waits for every instance to
 // complete, and reports throughput and latency. It resets the service's
 // stats at the start, so the report covers exactly this run; don't run
@@ -78,8 +66,8 @@ func RunLoad(s *Service, l Load) (Report, error) {
 // generator stops submitting, instances already in flight abort at their
 // next step (each Request carries ctx), and the partial report over the
 // instances that did complete is returned together with ctx.Err(). A
-// non-cancellation error (e.g. the service was closed mid-run) is returned
-// without waiting, as from RunLoad.
+// Submit error (e.g. the service was closed mid-run) stops the generator
+// too and is returned once the instances already submitted are done.
 func RunLoadContext(ctx context.Context, s *Service, l Load) (Report, error) {
 	if l.Schema == nil {
 		return Report{}, fmt.Errorf("runtime: load needs a Schema")
@@ -87,11 +75,11 @@ func RunLoadContext(ctx context.Context, s *Service, l Load) (Report, error) {
 	if l.Count <= 0 {
 		return Report{}, fmt.Errorf("runtime: load needs Count > 0")
 	}
+	conc := l.Concurrency
+	if conc <= 0 {
+		conc = 4 * s.cfg.Workers
+	}
 	s.ResetStats()
-
-	var wg sync.WaitGroup
-	wg.Add(l.Count)
-	start := time.Now()
 
 	// Aborting instances observe ctx themselves; only a cancellable ctx is
 	// worth the per-step check.
@@ -99,16 +87,20 @@ func RunLoadContext(ctx context.Context, s *Service, l Load) (Report, error) {
 	if ctx.Done() == nil {
 		reqCtx = nil
 	}
-	var err error
-	if l.Rate > 0 {
-		err = runOpen(ctx, reqCtx, s, l, &wg)
-	} else {
-		err = runClosed(ctx, reqCtx, s, l, &wg)
+	gen, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	start := time.Now()
+	load.Run(gen, load.Plan{Count: l.Count, Rate: l.Rate, Concurrency: conc, Seed: l.Seed},
+		func(i, _ int, done func(*engine.Result)) {
+			err := s.Submit(Request{Schema: l.Schema, Sources: l.sourcesFor(i), Strategy: l.Strategy, Done: done, Ctx: reqCtx})
+			if err != nil {
+				stop(err)
+				done(nil)
+			}
+		})
+	if err := context.Cause(gen); err != nil && ctx.Err() == nil {
+		return Report{}, err // a Submit failed
 	}
-	if err != nil {
-		return Report{}, err
-	}
-	wg.Wait()
 	elapsed := time.Since(start)
 
 	rep := Report{
@@ -128,94 +120,4 @@ func (l *Load) sourcesFor(i int) map[string]value.Value {
 		return l.SourcesFor(i)
 	}
 	return l.Sources
-}
-
-// runOpen submits Count Poisson arrivals at the offered rate, pacing
-// against absolute deadlines so generator hiccups don't skew the process.
-// On ctx cancellation it stops submitting, compensates the wait group for
-// the instances never fired, and returns nil (the caller reports ctx.Err).
-func runOpen(ctx, reqCtx context.Context, s *Service, l Load, wg *sync.WaitGroup) error {
-	rng := rand.New(rand.NewSource(l.Seed))
-	done := func(*engine.Result) { wg.Done() }
-	next := time.Now()
-	var timer *time.Timer
-	for i := 0; i < l.Count; i++ {
-		if d := time.Until(next); d > 0 {
-			if timer == nil {
-				timer = time.NewTimer(d)
-				defer timer.Stop()
-			} else {
-				timer.Reset(d)
-			}
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-			}
-		}
-		if ctx.Err() != nil {
-			wg.Add(i - l.Count) // instances never fired
-			return nil
-		}
-		if err := s.Submit(Request{Schema: l.Schema, Sources: l.sourcesFor(i), Strategy: l.Strategy, Done: done, Ctx: reqCtx}); err != nil {
-			return err
-		}
-		next = next.Add(time.Duration(rng.ExpFloat64() / l.Rate * float64(time.Second)))
-	}
-	return nil
-}
-
-// runClosed keeps Concurrency instances outstanding: each completion
-// immediately submits the next until Count have been fired (or ctx is
-// canceled, after which completions stop chaining and the remaining claims
-// are compensated so the load drains).
-func runClosed(ctx, reqCtx context.Context, s *Service, l Load, wg *sync.WaitGroup) error {
-	conc := l.Concurrency
-	if conc <= 0 {
-		conc = 4 * s.cfg.Workers
-	}
-	if conc > l.Count {
-		conc = l.Count
-	}
-	var fired atomic.Int64
-	fired.Store(int64(conc))
-	var done func(*engine.Result)
-	done = func(*engine.Result) {
-		defer wg.Done() // this completion
-		if ctx.Err() != nil {
-			// Canceled: release every unfired claim in one compensating
-			// swap (exactly one chain wins the CAS; later chains and
-			// claims find fired already at Count).
-			for {
-				cur := fired.Load()
-				if cur >= int64(l.Count) {
-					return
-				}
-				if fired.CompareAndSwap(cur, int64(l.Count)) {
-					wg.Add(int(cur) - l.Count)
-					return
-				}
-			}
-		}
-		// Claim and submit follow-on instances until one sticks or the
-		// count is exhausted. Submit only fails if the service was closed
-		// mid-run (an operator action); each failed claim is compensated
-		// so the load drains — this chain then claims the next instance,
-		// because no other completion will.
-		for {
-			i := fired.Add(1)
-			if i > int64(l.Count) {
-				break
-			}
-			if s.Submit(Request{Schema: l.Schema, Sources: l.sourcesFor(int(i - 1)), Strategy: l.Strategy, Done: done, Ctx: reqCtx}) == nil {
-				break
-			}
-			wg.Done()
-		}
-	}
-	for i := 0; i < conc; i++ {
-		if err := s.Submit(Request{Schema: l.Schema, Sources: l.sourcesFor(i), Strategy: l.Strategy, Done: done, Ctx: reqCtx}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

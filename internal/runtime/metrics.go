@@ -117,10 +117,9 @@ func (st Stats) AvgBatchSize() float64 {
 }
 
 // String renders the stats as a one-stop report block in a single
-// strings.Builder pass; the query-layer line appears only when the layer
-// saw traffic, the cluster block only when the backend is a cluster. The
-// exact format is pinned by TestStatsStringGolden — extend that test with
-// any new line.
+// strings.Builder pass: the totals and latency, the Layers lines, then one
+// line per tenant. The exact format is pinned by TestStatsStringGolden —
+// extend that test with any new line.
 func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b,
@@ -128,41 +127,56 @@ func (st Stats) String() string {
 			"latency p50=%v p95=%v p99=%v max=%v avg=%v",
 		st.Completed, st.Errors, st.Work, st.WastedWork, st.Launched, st.SynthesisRuns,
 		st.P50, st.P95, st.P99, st.Max, st.AvgLatency)
-	if st.BackendQueries+st.DedupHits+st.CacheHits > 0 {
-		fmt.Fprintf(&b,
-			"\nquery layer: backend=%d batches=%d avg-batch=%.1f dedup-hits=%d cache-hit/miss=%d/%d",
-			st.BackendQueries, st.Batches, st.AvgBatchSize(), st.DedupHits, st.CacheHits, st.CacheMisses)
-	}
-	if st.CutSize+st.CutWindow+st.CutQuiescent+st.AdmissionParked > 0 {
-		fmt.Fprintf(&b, "\nbatch cuts: size=%d window=%d quiescent=%d admission-parked=%d",
-			st.CutSize, st.CutWindow, st.CutQuiescent, st.AdmissionParked)
-	}
-	if st.PeerForwards+st.PeerFallbacks+st.PeerServed > 0 {
-		fmt.Fprintf(&b, "\npeer tier: forwards=%d fallbacks=%d served=%d",
-			st.PeerForwards, st.PeerFallbacks, st.PeerServed)
-	}
-	if st.ShadowSubmitted > 0 {
-		fmt.Fprintf(&b, "\nshadow: submitted=%d completed=%d errors=%d",
-			st.ShadowSubmitted, st.ShadowCompleted, st.ShadowErrors)
-	}
-	if c := st.Cluster; c != nil {
-		fmt.Fprintf(&b,
-			"\ncluster: shards=%d replicas=%d hedges=%d/%d won retries=%d timeouts=%d breaker-trips=%d failed=%d",
-			c.Shards, c.Replicas, c.HedgeWins, c.Hedges, c.Retries, c.Timeouts, c.BreakerTrips, c.Failed)
-		for s, row := range c.Replica {
-			fmt.Fprintf(&b, "\n  shard %d:", s)
-			for r, rep := range row {
-				fmt.Fprintf(&b, " r%d[q=%d err=%d to=%d trips=%d]",
-					r, rep.Queries, rep.Errors, rep.Timeouts, rep.BreakerTrips)
-			}
-		}
-	}
+	st.writeLayers(&b)
 	for _, name := range slices.Sorted(maps.Keys(st.Tenants)) {
 		t := st.Tenants[name]
 		fmt.Fprintf(&b, "\ntenant %s: completed=%d errors=%d p50=%v p99=%v max=%v",
 			name, t.Completed, t.Errors, t.P50, t.P99, t.Max)
 	}
 	return b.String()
+}
+
+// Layers renders String's lines for the layers between instances and the
+// database — query layer, batch cuts, peer tier, shadow, cluster — each
+// only when it saw traffic (the cluster block when the backend is a
+// cluster), without the instance totals and tenants.
+func (st Stats) Layers() string {
+	var b strings.Builder
+	st.writeLayers(&b)
+	return strings.TrimPrefix(b.String(), "\n")
+}
+
+// writeLayers appends the Layers lines to b, each after a newline.
+func (st Stats) writeLayers(b *strings.Builder) {
+	if st.BackendQueries+st.DedupHits+st.CacheHits > 0 {
+		fmt.Fprintf(b,
+			"\nquery layer: backend=%d batches=%d avg-batch=%.1f dedup-hits=%d cache-hit/miss=%d/%d",
+			st.BackendQueries, st.Batches, st.AvgBatchSize(), st.DedupHits, st.CacheHits, st.CacheMisses)
+	}
+	if st.CutSize+st.CutWindow+st.CutQuiescent+st.AdmissionParked > 0 {
+		fmt.Fprintf(b, "\nbatch cuts: size=%d window=%d quiescent=%d admission-parked=%d",
+			st.CutSize, st.CutWindow, st.CutQuiescent, st.AdmissionParked)
+	}
+	if st.PeerForwards+st.PeerFallbacks+st.PeerServed > 0 {
+		fmt.Fprintf(b, "\npeer tier: forwards=%d fallbacks=%d served=%d",
+			st.PeerForwards, st.PeerFallbacks, st.PeerServed)
+	}
+	if st.ShadowSubmitted > 0 {
+		fmt.Fprintf(b, "\nshadow: submitted=%d completed=%d errors=%d",
+			st.ShadowSubmitted, st.ShadowCompleted, st.ShadowErrors)
+	}
+	if c := st.Cluster; c != nil {
+		fmt.Fprintf(b,
+			"\ncluster: shards=%d replicas=%d hedges=%d/%d won retries=%d timeouts=%d breaker-trips=%d failed=%d",
+			c.Shards, c.Replicas, c.HedgeWins, c.Hedges, c.Retries, c.Timeouts, c.BreakerTrips, c.Failed)
+		for s, row := range c.Replica {
+			fmt.Fprintf(b, "\n  shard %d:", s)
+			for r, rep := range row {
+				fmt.Fprintf(b, " r%d[q=%d err=%d to=%d trips=%d]",
+					r, rep.Queries, rep.Errors, rep.Timeouts, rep.BreakerTrips)
+			}
+		}
+	}
 }
 
 // shard is one worker's metrics slice; finalization always happens on a

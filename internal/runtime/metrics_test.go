@@ -147,3 +147,21 @@ func TestStatsStringGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsLayers: Layers is String's middle — no totals, no tenants —
+// and empty when no layer saw traffic.
+func TestStatsLayers(t *testing.T) {
+	st := baseGoldenStats()
+	if got := st.Layers(); got != "" {
+		t.Fatalf("Layers without traffic = %q, want empty", got)
+	}
+	st.BackendQueries, st.Batches = 10, 10
+	st.Cluster = &ClusterStats{Shards: 1, Replicas: 1, Replica: [][]ReplicaStats{{{Queries: 10}}}}
+	st.Tenants = map[string]TenantStats{"alpha": {Completed: 600}}
+	want := "query layer: backend=10 batches=10 avg-batch=1.0 dedup-hits=0 cache-hit/miss=0/0\n" +
+		"cluster: shards=1 replicas=1 hedges=0/0 won retries=0 timeouts=0 breaker-trips=0 failed=0\n" +
+		"  shard 0: r0[q=10 err=0 to=0 trips=0]"
+	if got := st.Layers(); got != want {
+		t.Fatalf("Layers mismatch\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

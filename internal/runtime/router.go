@@ -31,7 +31,7 @@ const (
 	PowerOfTwo
 )
 
-// String renders the policy as its dfserve flag value.
+// String renders the policy as its dfsd -lb flag value.
 func (p LBPolicy) String() string {
 	switch p {
 	case RoundRobin:
@@ -44,7 +44,7 @@ func (p LBPolicy) String() string {
 	return fmt.Sprintf("LBPolicy(%d)", int(p))
 }
 
-// ParseLBPolicy parses a dfserve-style policy name.
+// ParseLBPolicy parses a dfsd -lb policy name.
 func ParseLBPolicy(name string) (LBPolicy, error) {
 	switch name {
 	case "rr", "roundrobin":
