@@ -3,15 +3,7 @@
 
 GO ?= go
 
-# Serving benchmarks guarded against throughput regressions (inst/s).
-# The iteration count trades CI time for measurement-window length: 3000
-# iterations of the fastest benchmarks finish in ~10ms and mostly measure
-# scheduler noise; 20000 keeps every window past ~50ms.
-SERVING_BENCH ?= Serve|ServiceThroughput|Replay
-SERVING_ITERS ?= 20000x
-BENCH_TOLERANCE ?= 0.20
-
-.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-serving bench-guard bench-e2e bench-ladder bench-pairs profile-serving loc ci
+.PHONY: all build vet test bench-check race bench fuzz-smoke chaos smoke torture cover bench-e2e bench-ladder bench-pairs profile-serving loc ci
 
 all: ci
 
@@ -115,32 +107,6 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic $$($(GO) list ./... | grep -v '^repro/cmd/dfsd$$')
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Run the serving benchmarks at a fixed iteration count and record the
-# results as BENCH_serving.json (throughput, hit rates, batch shape).
-bench-serving:
-	$(GO) test -run='^$$' -bench='$(SERVING_BENCH)' -benchtime=$(SERVING_ITERS) ./internal/runtime ./internal/server . > bench-serving.out
-	$(GO) run ./cmd/benchguard -in bench-serving.out -out BENCH_serving.json
-
-# Fail when any serving benchmark's inst/s regressed more than
-# BENCH_TOLERANCE vs the committed baseline. Refresh the baseline by
-# copying BENCH_serving.json over BENCH_baseline.json in the same change
-# that justifies the shift.
-#
-# The default guards machine-independent ratios (each benchmark vs the
-# same run's serving ceiling), so `make ci` passes on any hardware. On
-# the machine that recorded the baseline, `make bench-guard
-# BENCH_NORMALIZE=` switches to absolute throughput, which also catches
-# uniform slowdowns the ratio mode cannot see.
-#
-# A flagged measurement is re-taken once before failing: a real
-# regression reproduces, a scheduler glitch on a busy runner does not.
-BENCH_NORMALIZE ?= BenchmarkServeQuickstartPSE100
-BENCH_GUARD_CMD = $(GO) run ./cmd/benchguard -current BENCH_serving.json -baseline BENCH_baseline.json -tolerance $(BENCH_TOLERANCE) $(if $(BENCH_NORMALIZE),-normalize $(BENCH_NORMALIZE))
-bench-guard: bench-serving
-	$(BENCH_GUARD_CMD) || { \
-		echo "bench-guard: regression reported; re-measuring once to rule out runner noise"; \
-		$(MAKE) bench-serving && $(BENCH_GUARD_CMD); }
-
 # The committed end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # builds and execs the real dfsd, four workloads, three fingerprinted
 # repeats (~6 min). In CI it is a correctness gate — every answer checked
@@ -192,4 +158,4 @@ loc:
 	@printf '%8d  bench/\n' $$($(call GO_LOC,bench))
 	@for d in internal/*/; do printf '%8d  %s\n' $$($(call GO_LOC,$$d)) $$d; done
 
-ci: build vet test race bench fuzz-smoke chaos smoke torture cover bench-guard profile-serving bench-e2e
+ci: build vet test race bench fuzz-smoke chaos smoke torture cover profile-serving bench-e2e

@@ -203,7 +203,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 }
 
 // reportServiceQueryMetrics emits the query layer's hit rates and batch
-// shape so BENCH files expose sharing trajectories (zeros when off).
+// shape, so the output exposes sharing trajectories (zeros when off).
 func reportServiceQueryMetrics(b *testing.B, st decisionflow.ServiceStats) {
 	b.Helper()
 	if st.Launched > 0 {

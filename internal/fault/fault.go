@@ -30,8 +30,7 @@
 //
 // The disarmed fast path is a single atomic.Int32 load against zero —
 // no map lookup, no allocation — so the sites can live on hot paths
-// (see BenchmarkServeCachedInstantFaultSites and the bench-guard
-// baseline, which pin the overhead at zero).
+// (TestDisarmedZeroAlloc pins the allocation count at zero).
 package fault
 
 import (

@@ -178,8 +178,8 @@ func TestArmFromEnv(t *testing.T) {
 
 // TestDisarmedZeroAlloc is the overhead contract: with nothing armed,
 // an Eval at a hot-path site is one atomic load and zero allocations.
-// BenchmarkServeCachedInstantFaultSites + bench-guard pin the same
-// property end to end through the serving path.
+// The wire allocation pins of internal/server (TestAllocsWire) run with
+// the dfbin connection's failpoint sites compiled in and disarmed.
 func TestDisarmedZeroAlloc(t *testing.T) {
 	Reset()
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -4,24 +4,34 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/value"
 )
 
-// Allocation pins: one quickstart instance end to end through Service —
-// submit, every launch and completion, finalize, retire — counted with
+// Allocation pins: one instance end to end through Service — submit, every
+// launch and completion, finalize, retire — counted with
 // testing.AllocsPerRun instead of timed. A change that adds a steady-state
 // allocation to one of these paths fails here rather than hiding in a
-// benchmark's run-to-run noise.
+// benchmark's run-to-run noise. Instances run one at a time, so no count
+// depends on how the scheduler interleaves them.
 
-// instanceAllocs serves warm-up instances on cfg, then reports the mean
-// allocations of one more — submitted through SubmitCancel, keeping its
-// Handle, when withHandle is set.
+// instanceAllocs is serveAllocs of quickstart over 2000 runs.
 func instanceAllocs(t *testing.T, cfg Config, withHandle bool) float64 {
+	t.Helper()
+	s, sources := quickstart(t)
+	return serveAllocs(t, cfg, s, sources, 2000, withHandle)
+}
+
+// serveAllocs serves warm-up instances of s on cfg, then reports the mean
+// allocations of one more over runs runs — submitted through SubmitCancel,
+// keeping its Handle, when withHandle is set.
+func serveAllocs(t *testing.T, cfg Config, s *core.Schema, sources map[string]value.Value, runs int, withHandle bool) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	s, sources := quickstart(t)
 	cfg.Workers = 1
 	svc := New(cfg)
 	defer svc.Close()
@@ -47,10 +57,10 @@ func instanceAllocs(t *testing.T, cfg Config, withHandle bool) float64 {
 		}
 		<-done
 	}
-	for range 200 { // warm the instance pool, the caches and the histograms
+	for range min(runs, 200) { // warm the instance pool, the caches and the histograms
 		run()
 	}
-	return testing.AllocsPerRun(2000, run)
+	return testing.AllocsPerRun(runs, run)
 }
 
 func checkAllocs(t *testing.T, got float64, limit float64) {
@@ -91,6 +101,52 @@ func TestAllocsDirectCluster(t *testing.T) {
 		New: func(int, int) Backend { return Instant{} },
 	})
 	checkAllocs(t, instanceAllocs(t, Config{Backend: cl}, false), allocsDirectCluster)
+}
+
+// TestAllocsPattern64 pins the Table 1 default 64-node pattern over
+// Instant: on the direct path (BenchmarkServePattern64PSE100 and the
+// facade's BenchmarkServiceThroughput), and with batching, dedup and the
+// cache on, every launch a cache hit once warm (the facade's
+// BenchmarkServiceThroughputShared).
+func TestAllocsPattern64(t *testing.T) {
+	g := gen.Generate(gen.Default())
+	for _, tc := range []struct {
+		name  string
+		query QueryConfig
+		limit float64
+	}{
+		{"direct", QueryConfig{}, allocsPattern64},
+		{"shared", QueryConfig{BatchSize: 32, Dedup: true, CacheSize: 4096}, allocsPattern64Shared},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Backend: Instant{}, Query: tc.query}
+			checkAllocs(t, serveAllocs(t, cfg, g.Schema, g.SourceValues(), 1000, false), tc.limit)
+		})
+	}
+}
+
+// TestAllocsLatency pins the direct path over a timer backend, the
+// configuration of BenchmarkServeLatencyBackend: each launch arms one
+// timer. Few runs, since each instance waits out real round trips.
+func TestAllocsLatency(t *testing.T) {
+	s, sources := quickstart(t)
+	cfg := Config{Backend: &Latency{Base: 100 * time.Microsecond}}
+	checkAllocs(t, serveAllocs(t, cfg, s, sources, 50, false), allocsLatency)
+}
+
+// TestAllocsLatencyBatchDedup pins the batching and single-flight path of
+// BenchmarkServeDedupLatency's configuration, one instance at a time: every
+// launch is a dedup leader and rides a batch of its own instance's
+// queries. The benchmark's own allocs/op is lower and not pinned: it
+// divides by the share of launches that join another instance's flight,
+// which the scheduler decides.
+func TestAllocsLatencyBatchDedup(t *testing.T) {
+	s, sources := quickstart(t)
+	cfg := Config{
+		Backend: &Latency{Base: 200 * time.Microsecond, PerUnit: 50 * time.Microsecond, Parallel: 32},
+		Query:   QueryConfig{BatchSize: 32, BatchWindow: 200 * time.Microsecond, Dedup: true},
+	}
+	checkAllocs(t, serveAllocs(t, cfg, s, sources, 50, false), allocsLatencyBatchDedup)
 }
 
 // TestAllocsQueryLayerHit pins the query layer with dedup and the cache on,
@@ -174,7 +230,11 @@ func TestAllocsRunLoadClosed(t *testing.T) {
 // The limits are counts measured with go1.24 on linux/amd64 (quickstart
 // under PSE100 launches three foreign tasks).
 const (
-	allocsDirectInstant = 0
-	allocsDirectCluster = 21
-	allocsQueryLayerHit = 5
+	allocsDirectInstant     = 0
+	allocsDirectCluster     = 15
+	allocsQueryLayerHit     = 5
+	allocsPattern64         = 0
+	allocsPattern64Shared   = 47
+	allocsLatency           = 6
+	allocsLatencyBatchDedup = 21
 )

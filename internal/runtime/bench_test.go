@@ -8,16 +8,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/capture"
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/value"
 )
 
 // benchLoad runs a closed-loop load of b.N instances and reports
 // throughput plus the query layer's hit-rate trajectory (all zero when the
-// layer is off), so BENCH files track sharing effectiveness over time. It
+// layer is off), so the output tracks sharing effectiveness over time. It
 // returns the report for benchmark-specific extra metrics.
 func benchLoad(b *testing.B, svc *Service, l Load) Report {
 	b.Helper()
@@ -56,8 +54,7 @@ func reportQueryMetrics(b *testing.B, st Stats) {
 }
 
 // BenchmarkServeQuickstartPSE100 measures peak serving throughput for the
-// quickstart schema — the engine-side ceiling with a zero-latency backend
-// (and the normalizer of make bench-guard).
+// quickstart schema — the engine-side ceiling with a zero-latency backend.
 func BenchmarkServeQuickstartPSE100(b *testing.B) {
 	s, sources := quickstart(b)
 	svc := New(Config{})
@@ -147,7 +144,7 @@ func spreadVariants(sources map[string]value.Value, n int) func(i int) map[strin
 // spread over 4096 source vectors, so ~1/8 of queries land on the slow
 // replica under round-robin. Hedging (just past the healthy latency band)
 // re-issues exactly those queries to the shard's healthy replica; p99-ms
-// and hedge-win-rate make the cut visible in BENCH_serving.json.
+// and hedge-win-rate make the cut visible in the benchmark output.
 func benchCluster(b *testing.B, hedge time.Duration) {
 	s, sources := quickstart(b)
 	cl := NewCluster(ClusterConfig{
@@ -212,61 +209,6 @@ func BenchmarkServeCachedInstant(b *testing.B) {
 	})
 	benchLoad(b, svc, Load{
 		Schema: s, Sources: sources,
-		Strategy: engine.MustParseStrategy("PSE100"),
-	})
-}
-
-// BenchmarkServeCachedInstantFaultSites is BenchmarkServeCachedInstant
-// with two disarmed failpoint sites evaluated on every instance — the
-// instrumentation cost a production build carries all the time. Its
-// baseline entry pins the same inst/s and allocs/op as the fault-free
-// benchmark, so bench-guard turns any disarmed-path overhead (an
-// allocation, a lock, a map lookup on the fast path) into a regression
-// failure rather than a slow drift.
-func BenchmarkServeCachedInstantFaultSites(b *testing.B) {
-	if fault.Active() {
-		b.Fatal("failpoints armed; this benchmark measures the disarmed fast path")
-	}
-	s, sources := quickstart(b)
-	svc := New(Config{
-		Query: QueryConfig{CacheSize: 1024},
-	})
-	benchLoad(b, svc, Load{
-		Schema: s,
-		SourcesFor: func(i int) map[string]value.Value {
-			fault.Eval(fault.SiteWALAppendSync)
-			fault.Eval(fault.SiteBinConnWrite)
-			return sources
-		},
-		Strategy: engine.MustParseStrategy("PSE100"),
-	})
-}
-
-// captureOff stays nil for the whole process: the benchmark below prices
-// exactly what dfsd pays per eval when -capture is unset — one nil-writer
-// check — and nothing else.
-var captureOff *capture.Writer
-
-// BenchmarkServeCachedInstantCaptureOff is BenchmarkServeCachedInstant
-// with the capture-off probe evaluated on every instance, the same
-// contract FaultSites pins for disarmed failpoints: its baseline entry
-// carries the identical inst/s and allocs/op as the capture-free
-// benchmark, so any cost leaking onto the fast path while capture is
-// disabled (an allocation, an atomic, a map lookup) fails bench-guard
-// instead of drifting in silently.
-func BenchmarkServeCachedInstantCaptureOff(b *testing.B) {
-	s, sources := quickstart(b)
-	svc := New(Config{
-		Query: QueryConfig{CacheSize: 1024},
-	})
-	benchLoad(b, svc, Load{
-		Schema: s,
-		SourcesFor: func(i int) map[string]value.Value {
-			if captureOff.Enabled() {
-				panic("capture writer must be nil: this benchmark measures the disabled path")
-			}
-			return sources
-		},
 		Strategy: engine.MustParseStrategy("PSE100"),
 	})
 }

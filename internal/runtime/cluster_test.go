@@ -296,39 +296,96 @@ func TestClusterBreakerIsolatesDegradedReplica(t *testing.T) {
 	}
 }
 
-// TestClusterHedgeWinsOverSlowReplica: the primary attempt is slow, the
-// hedge is fast — the hedge must win and cut the observed latency.
+// TestClusterHedgeWinsOverSlowReplica: a hedge must cut a slow primary,
+// on two inputs.
 func TestClusterHedgeWinsOverSlowReplica(t *testing.T) {
-	var first atomic.Int64
-	slowThenFast := func(rep int) func(int) (time.Duration, error) {
-		return func(int) (time.Duration, error) {
-			if first.CompareAndSwap(0, int64(rep)+1) {
-				return 300 * time.Millisecond, nil // primary: slow
+	// The first attempt is slow, the hedge is fast: the hedge must win and
+	// cut the observed latency.
+	t.Run("slow first attempt", func(t *testing.T) {
+		var first atomic.Int64
+		slowThenFast := func(rep int) func(int) (time.Duration, error) {
+			return func(int) (time.Duration, error) {
+				if first.CompareAndSwap(0, int64(rep)+1) {
+					return 300 * time.Millisecond, nil // primary: slow
+				}
+				return time.Millisecond, nil // hedge: fast
 			}
-			return time.Millisecond, nil // hedge: fast
 		}
-	}
-	reps := [2]*fakeReplica{}
-	for r := range reps {
-		reps[r] = &fakeReplica{script: slowThenFast(r)}
-	}
-	cl := NewCluster(ClusterConfig{
-		Shards: 1, Replicas: 2,
-		HedgeDelay: 10 * time.Millisecond,
-		New:        func(s, r int) Backend { return reps[r] },
+		reps := [2]*fakeReplica{}
+		for r := range reps {
+			reps[r] = &fakeReplica{script: slowThenFast(r)}
+		}
+		cl := NewCluster(ClusterConfig{
+			Shards: 1, Replicas: 2,
+			HedgeDelay: 10 * time.Millisecond,
+			New:        func(s, r int) Backend { return reps[r] },
+		})
+		start := time.Now()
+		if err := submitWait(t, cl, 1); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := time.Since(start)
+		if elapsed > 150*time.Millisecond {
+			t.Fatalf("hedged query took %v, want well under the 300ms primary", elapsed)
+		}
+		st := cl.ClusterStats()
+		if st.Hedges != 1 || st.HedgeWins != 1 {
+			t.Fatalf("hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
+		}
 	})
-	start := time.Now()
-	if err := submitWait(t, cl, 1); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed > 150*time.Millisecond {
-		t.Fatalf("hedged query took %v, want well under the 300ms primary", elapsed)
-	}
-	st := cl.ClusterStats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
-	}
+
+	// One replica of the shard always takes 1s, the other 1ms — the slow
+	// machine that BenchmarkServeCluster{Unhedged,Hedged} time. Every query
+	// whose primary lands on the slow replica must be won by its hedge.
+	// HedgeWins may exceed that count: on a loaded box a 1ms primary can
+	// pass the 5ms hedge delay, hedge onto the slow replica and still win
+	// itself, so Hedges == HedgeWins is not asserted. Round robin's counter
+	// also advances on every hedge pick, so a slow primary's hedge hands the
+	// next primary back to the slow replica: nearly every query is one.
+	t.Run("skewed replica", func(t *testing.T) {
+		reps := [2]*fakeReplica{
+			{script: always(time.Millisecond, nil)},
+			{script: always(time.Second, nil)},
+		}
+		cl := NewCluster(ClusterConfig{
+			Shards: 1, Replicas: 2, LB: RoundRobin,
+			HedgeDelay: 5 * time.Millisecond,
+			New:        func(s, r int) Backend { return reps[r] },
+		})
+		slowPrimaries := 0
+		for i := range 64 {
+			fast, slow := reps[0].calls(), reps[1].calls()
+			start := time.Now()
+			done := make(chan error, 1)
+			cl.Exec([]Query{{Cost: 1}}, func(_ int, err error) { done <- err })
+			// Exec hands the primary to its replica before it returns; a
+			// hedge comes from a timer. A query counts only if the slow
+			// replica alone has seen it here: if its hedge has fired too,
+			// which attempt went first is unknown.
+			if reps[1].calls() > slow && reps[0].calls() == fast {
+				slowPrimaries++
+			}
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("query %d never completed", i)
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("query %d took %v, want well under the 1s replica", i, elapsed)
+			}
+		}
+		st := cl.ClusterStats()
+		t.Logf("%d slow primaries, hedges=%d wins=%d", slowPrimaries, st.Hedges, st.HedgeWins)
+		if slowPrimaries == 0 {
+			t.Fatal("no primary landed on the slow replica")
+		}
+		if st.HedgeWins < uint64(slowPrimaries) {
+			t.Fatalf("wins=%d, want ≥ %d (one per slow primary)", st.HedgeWins, slowPrimaries)
+		}
+	})
 }
 
 // TestClusterExecFansOutPerShard: members group by hash; each member's

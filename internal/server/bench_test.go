@@ -2,42 +2,23 @@ package server
 
 import (
 	"context"
-	"net"
-	"net/http/httptest"
 	stdruntime "runtime"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/flows"
-	"repro/internal/runtime"
 )
 
-// benchServeHTTP drives the full network stack — typed client, loopback
-// HTTP, tenant admission, server, runtime — with the production-shaped
-// query layer of the e2e acceptance run (Instant backend, batching,
-// dedup, cache) and reports client-observed instances per second.
-// reqBatch is the number of instances per HTTP request: 1 measures
-// per-request protocol overhead, larger values amortize it exactly like
-// `dfserve -remote -reqbatch`.
-func benchServeHTTP(b *testing.B, reqBatch int) {
-	svc := runtime.New(runtime.Config{
-		Backend: runtime.Instant{},
-		Query: runtime.QueryConfig{
-			BatchSize:   32,
-			BatchWindow: 200 * time.Microsecond,
-			Dedup:       true,
-			CacheSize:   65536,
-		},
-	})
-	srv := New(Config{Service: svc})
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	c, err := client.New(hs.URL, client.WithTenant("bench"), client.WithMaxConns(128))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+// benchServe drives the full network stack — typed client, loopback HTTP
+// or, when binary is set, real TCP connections speaking dfbin frames,
+// tenant admission, server, runtime — on wireStack's production-shaped
+// query layer and reports client-observed instances per second. reqBatch
+// is the number of instances per request: 1 measures per-request protocol
+// overhead, larger values amortize it exactly like `dfserve -remote
+// -reqbatch`. The delta between the two wires is exactly the protocol
+// cost.
+func benchServe(b *testing.B, binary bool, reqBatch int) {
+	c := wireStack(b, binary)
 
 	_, sources, err := flows.ByName("quickstart")
 	if err != nil {
@@ -57,7 +38,6 @@ func benchServeHTTP(b *testing.B, reqBatch int) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	svc.ResetStats()
 	stdruntime.GC() // clean heap: keep warmup/prior-benchmark GC debt out of the window
 
 	b.ReportAllocs()
@@ -78,92 +58,24 @@ func benchServeHTTP(b *testing.B, reqBatch int) {
 		b.Fatalf("load run not clean: %+v", rep)
 	}
 	b.ReportMetric(rep.Throughput, "inst/s")
-	srv.Drain(context.Background())
 }
 
 // BenchmarkServeHTTPBatched is the e2e acceptance configuration: 32
 // instances per HTTP request (dfserve -remote -reqbatch 32).
-func BenchmarkServeHTTPBatched(b *testing.B) { benchServeHTTP(b, 32) }
+func BenchmarkServeHTTPBatched(b *testing.B) { benchServe(b, false, 32) }
 
 // BenchmarkServeHTTPSingle pays the full HTTP/JSON round trip per
 // instance — the per-request protocol overhead floor.
-func BenchmarkServeHTTPSingle(b *testing.B) { benchServeHTTP(b, 1) }
-
-// benchServeBinary is benchServeHTTP over the dfbin wire: the same
-// warmed production-shaped stack, but driven through real TCP
-// connections speaking length-prefixed frames with bound schemas and
-// dense attribute IDs instead of HTTP/JSON. The delta between the two
-// benchmark families is exactly the protocol cost.
-func benchServeBinary(b *testing.B, reqBatch int) {
-	svc := runtime.New(runtime.Config{
-		Backend: runtime.Instant{},
-		Query: runtime.QueryConfig{
-			BatchSize:   32,
-			BatchWindow: 200 * time.Microsecond,
-			Dedup:       true,
-			CacheSize:   65536,
-		},
-	})
-	srv := New(Config{Service: svc})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.ServeBinary(ln)
-	c, err := client.New("dfbin://"+ln.Addr().String(),
-		client.WithTenant("bench"), client.WithMaxConns(128))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-
-	_, sources, err := flows.ByName("quickstart")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sourcesFor, err := flows.Spread(sources, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	if _, err := client.RunLoad(context.Background(), c, client.Load{
-		Schema: "quickstart", Sources: sources, SourcesFor: sourcesFor,
-		Count: 4096, Concurrency: 64, BatchSize: reqBatch,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	svc.ResetStats()
-	stdruntime.GC()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	rep, err := client.RunLoad(context.Background(), c, client.Load{
-		Schema:      "quickstart",
-		Sources:     sources,
-		SourcesFor:  sourcesFor,
-		Count:       b.N,
-		Concurrency: 64,
-		BatchSize:   reqBatch,
-	})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Failed > 0 || rep.Errors > 0 {
-		b.Fatalf("load run not clean: %+v", rep)
-	}
-	b.ReportMetric(rep.Throughput, "inst/s")
-	srv.Drain(context.Background())
-}
+func BenchmarkServeHTTPSingle(b *testing.B) { benchServe(b, false, 1) }
 
 // BenchmarkServeBinaryBatched: 32 instances per EvalBatch frame
 // (dfserve -remote dfbin://... -reqbatch 32), columnar encoding.
-func BenchmarkServeBinaryBatched(b *testing.B) { benchServeBinary(b, 32) }
+func BenchmarkServeBinaryBatched(b *testing.B) { benchServe(b, true, 32) }
 
 // BenchmarkServeBinarySingle pays one Eval frame round trip per
 // instance — the binary protocol's per-request overhead floor, to
 // compare against BenchmarkServeHTTPSingle.
-func BenchmarkServeBinarySingle(b *testing.B) { benchServeBinary(b, 1) }
+func BenchmarkServeBinarySingle(b *testing.B) { benchServe(b, true, 1) }
 
 // BenchmarkServePeerForwarded measures the front-end tier's forwarding
 // cost: a 2-node in-process fleet (real TCP between peers), driven over
