@@ -53,7 +53,10 @@ bench:
 # success re-encodes identically), and the eval path's JSON codec with
 # encoding/json as its oracle: request decode and response decode agree
 # with it on accept/reject and on every value for arbitrary bytes, request
-# encode and result encode are byte-identical to json.Marshal.
+# encode and result encode are byte-identical to json.Marshal; and the
+# attribute cache (random put/get/clock sequences against a map model: a
+# hit only for a present, unexpired identity, never over capacity, map and
+# eviction queue in agreement).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api
@@ -64,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchRequestEncode$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchResponseDecode$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzEvalResultEncode$$' -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzCacheOps$$' -fuzztime=5s ./internal/runtime
 
 # Deterministic chaos suite: kill/stall/degrade cluster replicas mid-run
 # and assert the oracle invariant, work conservation, and launch-exact

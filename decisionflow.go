@@ -220,7 +220,7 @@ type ServiceConfig = rt.Config
 
 // QueryConfig configures the service's shared query layer: cross-instance
 // batching (size- and deadline-triggered), single-flight deduplication of
-// identical in-flight queries, and the sharded LRU+TTL attribute-result
+// identical in-flight queries, and the sharded SIEVE+TTL attribute-result
 // cache. The zero value disables the layer.
 type QueryConfig = rt.QueryConfig
 

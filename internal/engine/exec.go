@@ -197,10 +197,11 @@ func (c *Core) AppendQueryArgs(id core.AttrID, dst []byte) (_ []byte, ok bool) {
 		return dst, false
 	}
 	for _, in := range c.schema.DataInputs(id) {
-		// Value.String is type-distinguishing (strings quoted, floats keep a
-		// decimal point), and the unit separator keeps adjacent values from
-		// running together, so distinct input vectors render distinctly.
-		dst = append(dst, c.sn.Val(in).String()...)
+		// Value.String's rendering is type-distinguishing (strings quoted,
+		// floats keep a decimal point), and the unit separator keeps adjacent
+		// values from running together, so distinct input vectors render
+		// distinctly.
+		dst = c.sn.Val(in).AppendString(dst)
 		dst = append(dst, 0x1f)
 	}
 	return dst, true

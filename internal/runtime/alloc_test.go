@@ -231,10 +231,10 @@ func TestAllocsRunLoadClosed(t *testing.T) {
 // under PSE100 launches three foreign tasks).
 const (
 	allocsDirectInstant     = 0
-	allocsDirectCluster     = 15
-	allocsQueryLayerHit     = 5
+	allocsDirectCluster     = 12
+	allocsQueryLayerHit     = 0
 	allocsPattern64         = 0
-	allocsPattern64Shared   = 47
+	allocsPattern64Shared   = 0
 	allocsLatency           = 6
-	allocsLatencyBatchDedup = 21
+	allocsLatencyBatchDedup = 18
 )

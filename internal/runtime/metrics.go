@@ -54,6 +54,7 @@ type Stats struct {
 	DedupHits      uint64 // launches that shared an in-flight query
 	CacheHits      uint64 // launches answered by the attribute cache
 	CacheMisses    uint64 // cache lookups that went to the backend
+	CacheEvictions uint64 // cache entries evicted to make room (not expiries)
 	// Why each batch left the batcher — it filled (or batching is off), the
 	// BatchWindow timer fired, or nothing in the process could still add to
 	// it; on a batch-capable backend the three sum to Batches — and how many
@@ -150,8 +151,8 @@ func (st Stats) Layers() string {
 func (st Stats) writeLayers(b *strings.Builder) {
 	if st.BackendQueries+st.DedupHits+st.CacheHits > 0 {
 		fmt.Fprintf(b,
-			"\nquery layer: backend=%d batches=%d avg-batch=%.1f dedup-hits=%d cache-hit/miss=%d/%d",
-			st.BackendQueries, st.Batches, st.AvgBatchSize(), st.DedupHits, st.CacheHits, st.CacheMisses)
+			"\nquery layer: backend=%d batches=%d avg-batch=%.1f dedup-hits=%d cache-hit/miss=%d/%d evicted=%d",
+			st.BackendQueries, st.Batches, st.AvgBatchSize(), st.DedupHits, st.CacheHits, st.CacheMisses, st.CacheEvictions)
 	}
 	if st.CutSize+st.CutWindow+st.CutQuiescent+st.AdmissionParked > 0 {
 		fmt.Fprintf(b, "\nbatch cuts: size=%d window=%d quiescent=%d admission-parked=%d",
@@ -259,6 +260,7 @@ func (s *Service) Stats() Stats {
 		st.DedupHits = d.dedupHits.Load()
 		st.CacheHits = d.cacheHits.Load()
 		st.CacheMisses = d.cacheMisses.Load()
+		st.CacheEvictions = d.cacheEvictions.Load()
 		st.CutSize, st.CutWindow, st.CutQuiescent = d.cutSize.Load(), d.cutWindow.Load(), d.cutQuiescent.Load()
 		st.AdmissionParked = d.parked.Load()
 		st.PeerForwards = d.peerForwards.Load()
@@ -348,6 +350,7 @@ func (s *Service) ResetStats() {
 		d.dedupHits.Store(0)
 		d.cacheHits.Store(0)
 		d.cacheMisses.Store(0)
+		d.cacheEvictions.Store(0)
 		d.cutSize.Store(0)
 		d.cutWindow.Store(0)
 		d.cutQuiescent.Store(0)

@@ -41,13 +41,14 @@ func TestStatsStringGolden(t *testing.T) {
 				st.DedupHits = 600
 				st.CacheHits = 400
 				st.CacheMisses = 1500
+				st.CacheEvictions = 1100
 				st.CutSize, st.CutWindow, st.CutQuiescent = 40, 10, 250
 				st.AdmissionParked = 7
 				return st
 			},
 			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800\n" +
 				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms\n" +
-				"query layer: backend=1500 batches=300 avg-batch=5.0 dedup-hits=600 cache-hit/miss=400/1500\n" +
+				"query layer: backend=1500 batches=300 avg-batch=5.0 dedup-hits=600 cache-hit/miss=400/1500 evicted=1100\n" +
 				"batch cuts: size=40 window=10 quiescent=250 admission-parked=7",
 		},
 		{
@@ -87,7 +88,7 @@ func TestStatsStringGolden(t *testing.T) {
 			},
 			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800\n" +
 				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms\n" +
-				"query layer: backend=900 batches=200 avg-batch=4.5 dedup-hits=300 cache-hit/miss=500/900\n" +
+				"query layer: backend=900 batches=200 avg-batch=4.5 dedup-hits=300 cache-hit/miss=500/900 evicted=0\n" +
 				"peer tier: forwards=800 fallbacks=25 served=750",
 		},
 		{
@@ -134,7 +135,7 @@ func TestStatsStringGolden(t *testing.T) {
 			},
 			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800\n" +
 				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms\n" +
-				"query layer: backend=10 batches=10 avg-batch=1.0 dedup-hits=0 cache-hit/miss=0/0\n" +
+				"query layer: backend=10 batches=10 avg-batch=1.0 dedup-hits=0 cache-hit/miss=0/0 evicted=0\n" +
 				"cluster: shards=1 replicas=1 hedges=0/0 won retries=0 timeouts=0 breaker-trips=0 failed=0\n" +
 				"  shard 0: r0[q=10 err=0 to=0 trips=0]",
 		},
@@ -158,7 +159,7 @@ func TestStatsLayers(t *testing.T) {
 	st.BackendQueries, st.Batches = 10, 10
 	st.Cluster = &ClusterStats{Shards: 1, Replicas: 1, Replica: [][]ReplicaStats{{{Queries: 10}}}}
 	st.Tenants = map[string]TenantStats{"alpha": {Completed: 600}}
-	want := "query layer: backend=10 batches=10 avg-batch=1.0 dedup-hits=0 cache-hit/miss=0/0\n" +
+	want := "query layer: backend=10 batches=10 avg-batch=1.0 dedup-hits=0 cache-hit/miss=0/0 evicted=0\n" +
 		"cluster: shards=1 replicas=1 hedges=0/0 won retries=0 timeouts=0 breaker-trips=0 failed=0\n" +
 		"  shard 0: r0[q=10 err=0 to=0 trips=0]"
 	if got := st.Layers(); got != want {

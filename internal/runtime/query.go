@@ -38,9 +38,10 @@ type QueryConfig struct {
 	// identity matches a query already in flight attach to it and share
 	// its single backend round trip.
 	Dedup bool
-	// CacheSize > 0 enables the sharded LRU attribute-result cache with
-	// that many entries: a launch whose identity was answered within
-	// CacheTTL completes immediately, with no backend round trip.
+	// CacheSize > 0 enables the sharded attribute-result cache with that
+	// many entries, evicting under SIEVE: a launch whose identity was
+	// answered within CacheTTL completes immediately, with no backend
+	// round trip.
 	CacheSize int
 	// CacheTTL bounds the age of usable cache entries; 0 means entries
 	// never expire (sound for strictly pure task functions; set a TTL when
@@ -59,7 +60,10 @@ func (q QueryConfig) enabled() bool {
 // queryKey is the sharing identity of one foreign-task launch. Two
 // launches with equal keys are the same query: same schema (by identity),
 // same attribute, same stable data-input values (rendered by
-// engine.Core.AppendQueryArgs).
+// engine.Core.AppendQueryArgs). Launches carry the rendered args as bytes
+// and look the tables up with queryKey{schema, id, string(args)} written
+// in the index expression, which does not allocate; the string is built
+// only for a new flight, whose key a new cache entry then shares.
 type queryKey struct {
 	schema *core.Schema
 	id     core.AttrID
@@ -113,10 +117,7 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// fnvFold folds data into a running FNV-1a state. Both hash entry points
-// go through it, so the direct launch path (byte-slice args) and the
-// dispatcher (interned string args) cannot drift apart and split the same
-// query across cluster shards.
+// fnvFold folds data into a running FNV-1a state.
 func fnvFold[T ~string | ~[]byte](h uint64, data T) uint64 {
 	for i := 0; i < len(data); i++ {
 		h = (h ^ uint64(data[i])) * fnvPrime
@@ -128,11 +129,6 @@ func fnvFold[T ~string | ~[]byte](h uint64, data T) uint64 {
 // stable data-input values).
 func hashIdentity(schema *core.Schema, id core.AttrID, args []byte) uint64 {
 	return fnvFold(hashPrefix(schema, id), args)
-}
-
-// hashKey is hashIdentity over an interned queryKey.
-func hashKey(key queryKey) uint64 {
-	return fnvFold(hashPrefix(key.schema, key.id), key.args)
 }
 
 // hashPrefix folds the schema name and attribute id.
@@ -197,6 +193,7 @@ type dispatcher struct {
 	dedupHits      atomic.Uint64 // launches attached to an in-flight query
 	cacheHits      atomic.Uint64
 	cacheMisses    atomic.Uint64
+	cacheEvictions atomic.Uint64 // entries evicted to make room
 	peerForwards   atomic.Uint64 // launches classified at a remote home
 	peerFallbacks  atomic.Uint64 // forwards re-entered locally (peer down)
 	peerServed     atomic.Uint64 // forwarded-in queries served for peers
@@ -208,7 +205,7 @@ type dispatcher struct {
 type qshard struct {
 	mu       sync.Mutex
 	inflight map[queryKey]*flight
-	cache    lru
+	cache    sieve
 }
 
 func newDispatcher(backend Backend, placed bool, limit int, cfg QueryConfig) *dispatcher {
@@ -235,7 +232,7 @@ func newDispatcher(backend Backend, placed bool, limit int, cfg QueryConfig) *di
 			sh.inflight = make(map[queryKey]*flight)
 		}
 		if perShard > 0 {
-			sh.cache.init(perShard)
+			sh.cache.init(perShard, cfg.CacheTTL)
 		}
 	}
 	return d
@@ -253,13 +250,24 @@ func (d *dispatcher) needsKey() bool {
 	return d.cfg.Dedup || d.cfg.CacheSize > 0 || d.placed
 }
 
-// Submit routes one foreign-task launch. done is invoked exactly once when
-// the query's result is available — possibly synchronously (cache hit, or
-// an immediate backend). keyed=false launches (volatile tasks) bypass the
-// cache and dedup but still batch.
-func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)) {
+// cacheNow is the time cache entries are stamped and judged by: the wall
+// clock under a TTL, and never read without one.
+func (d *dispatcher) cacheNow() time.Time {
+	if d.cfg.CacheTTL > 0 {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// Submit routes one foreign-task launch of attribute id of schema, whose
+// sharing identity AppendQueryArgs rendered into args; args is read only
+// during the call. done is invoked exactly once when the query's result is
+// available — possibly synchronously (cache hit, or an immediate backend).
+// keyed=false launches (volatile tasks) bypass the cache and dedup but
+// still batch.
+func (d *dispatcher) Submit(schema *core.Schema, id core.AttrID, args []byte, keyed bool, cost int, done func(error)) {
 	if keyed && d.needsKey() {
-		hash := hashKey(key)
+		hash := hashIdentity(schema, id, args)
 		// Peer tier first, local tables second: a query homed on another
 		// node is NOT checked against the local cache or single-flight
 		// table — every launch of an identity is classified at its one
@@ -267,7 +275,7 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 		// single node's. The router owns accepted queries end to end; a
 		// forward the home could not serve re-enters the local path below.
 		if box := d.peer.Load(); box != nil {
-			q := PeerQuery{Schema: key.schema, Attr: key.id, Args: key.args, Cost: cost, Hash: hash}
+			q := PeerQuery{Schema: schema, Attr: id, Args: string(args), Cost: cost, Hash: hash}
 			if box.p.SubmitPeer(q, func(err error, remote bool) {
 				if remote {
 					d.peerForwards.Add(1)
@@ -276,13 +284,13 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 				}
 				d.peerFallbacks.Add(1)
 				d.hold() // the router's goroutine, not the launching owner's
-				d.submitKeyed(key, hash, cost, done)
+				d.submitKeyed(schema, id, []byte(q.Args), hash, cost, done)
 				d.release()
 			}) {
 				return
 			}
 		}
-		d.submitKeyed(key, hash, cost, done)
+		d.submitKeyed(schema, id, args, hash, cost, done)
 		return
 	}
 	d.enqueue(&flight{q: [1]Query{{Hash: splitmix64(d.seq.Add(1)), Cost: cost}}, dones: []func(error){done}})
@@ -292,8 +300,8 @@ func (d *dispatcher) Submit(key queryKey, keyed bool, cost int, done func(error)
 // or a fresh flight. It is entered by local launches whose home is this
 // node (or whose home could not serve them) and by queries forwarded in
 // from peers — the latter never re-consult the peer router, so forwards
-// cannot loop.
-func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(error)) {
+// cannot loop. args is read only during the call.
+func (d *dispatcher) submitKeyed(schema *core.Schema, id core.AttrID, args []byte, hash uint64, cost int, done func(error)) {
 	if !d.cfg.Dedup && d.cfg.CacheSize == 0 {
 		// Keyed purely for placement (batching-only layer over a
 		// Cluster): no sharing tables to consult, and exactly one
@@ -303,37 +311,34 @@ func (d *dispatcher) submitKeyed(key queryKey, hash uint64, cost int, done func(
 	}
 	sh := d.shard(hash)
 	sh.mu.Lock()
-	if d.cfg.CacheSize > 0 {
-		if sh.cache.get(key, time.Now(), d.cfg.CacheTTL) {
-			sh.mu.Unlock()
-			d.cacheHits.Add(1)
-			done(nil)
-			return
-		}
+	if d.cfg.CacheSize > 0 && sh.cache.get(schema, id, args, d.cacheNow()) {
+		sh.mu.Unlock()
+		d.cacheHits.Add(1)
+		done(nil)
+		return
 	}
 	if d.cfg.Dedup {
-		if f := sh.inflight[key]; f != nil {
+		if f := sh.inflight[queryKey{schema, id, string(args)}]; f != nil {
 			f.dones = append(f.dones, done)
 			sh.mu.Unlock()
 			d.dedupHits.Add(1)
 			return
 		}
-		f := &flight{key: key, keyed: true, q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}}
-		sh.inflight[key] = f
-		sh.mu.Unlock()
-		// A miss is a cache lookup that reaches the backend: dedup
-		// attaches above don't count.
-		if d.cfg.CacheSize > 0 {
-			d.cacheMisses.Add(1)
-		}
-		d.enqueue(f)
-		return
+	}
+	// The identity's key string is built here, once per flight; the cache
+	// entry the flight primes shares it.
+	f := &flight{key: queryKey{schema, id, string(args)}, keyed: true,
+		q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}}
+	if d.cfg.Dedup {
+		sh.inflight[f.key] = f
 	}
 	sh.mu.Unlock()
+	// A miss is a cache lookup that reaches the backend: dedup attaches
+	// above don't count.
 	if d.cfg.CacheSize > 0 {
 		d.cacheMisses.Add(1)
 	}
-	d.enqueue(&flight{key: key, keyed: true, q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}})
+	d.enqueue(f)
 }
 
 // hold and release move the busy gauge — no-ops unless batching is on (a
@@ -459,8 +464,8 @@ func (d *dispatcher) complete(f *flight, err error) {
 		if d.cfg.Dedup {
 			delete(sh.inflight, f.key)
 		}
-		if d.cfg.CacheSize > 0 && err == nil {
-			sh.cache.put(f.key, time.Now())
+		if d.cfg.CacheSize > 0 && err == nil && sh.cache.put(f.key, d.cacheNow()) {
+			d.cacheEvictions.Add(1)
 		}
 		dones = f.dones
 		sh.mu.Unlock()
@@ -473,72 +478,84 @@ func (d *dispatcher) complete(f *flight, err error) {
 	d.flush(batch, &d.cutSize)
 }
 
-// --- sharded LRU+TTL cache ---
+// --- sharded SIEVE+TTL cache ---
 
-// lru is one shard's fixed-capacity LRU of answered query identities with
-// insertion timestamps. The "result" needs no payload: the key (schema,
-// attribute, stable input values) fully determines the task's value for
-// pure ComputeFuncs, and the hitting instance materializes it locally from
-// its own identical inputs — what the cache elides is the backend round
-// trip, which is the entirety of a foreign task's cost in this model.
-type lru struct {
-	cap     int
+// sieve is one shard's fixed-capacity cache of answered query identities
+// under SIEVE eviction (Zhang et al., "SIEVE is Simpler than LRU", NSDI
+// 2024). The "result" needs no payload: the key (schema, attribute, stable
+// input values) fully determines the task's value for pure ComputeFuncs,
+// and the hitting instance materializes it locally from its own identical
+// inputs — what the cache elides is the backend round trip, which is the
+// entirety of a foreign task's cost in this model.
+//
+// Entries sit in one queue in insertion order, newest at the head. A hit
+// only sets the entry's visited bit; nothing moves. To make room, a hand
+// walks from the tail toward the head (wrapping back to the tail), clears
+// the visited bits it passes and evicts the first unvisited entry, then
+// rests where it stopped. One-time identities are therefore evicted soon
+// after insertion, while an identity hit since the hand last passed it
+// survives a full sweep: on a Zipf key stream this keeps more of the hot
+// set than LRU, whose every hit is a move-to-front.
+type sieve struct {
+	ttl     time.Duration    // 0: entries never expire, and at is never set
 	entries map[queryKey]int // key -> slot index
-	slots   []lruSlot
-	head    int // most recently used; -1 when empty
-	tail    int // least recently used
+	slots   []sieveSlot
+	head    int // newest entry; -1 when empty
+	tail    int // oldest entry
+	hand    int // next eviction candidate; -1 means start at the tail
 	free    []int
 }
 
-type lruSlot struct {
+type sieveSlot struct {
 	key        queryKey
-	at         time.Time
-	prev, next int
+	at         time.Time // insertion time, kept only under a TTL
+	prev, next int       // toward the head (newer), toward the tail (older)
+	visited    bool
 }
 
-func (c *lru) init(capacity int) {
-	c.cap = capacity
+func (c *sieve) init(capacity int, ttl time.Duration) {
+	c.ttl = ttl
 	c.entries = make(map[queryKey]int, capacity)
-	c.slots = make([]lruSlot, capacity)
+	c.slots = make([]sieveSlot, capacity)
 	c.free = make([]int, capacity)
 	for i := range c.free {
 		c.free[i] = capacity - 1 - i
 	}
-	c.head, c.tail = -1, -1
+	c.head, c.tail, c.hand = -1, -1, -1
 }
 
-// get reports whether key was answered within ttl of now, refreshing its
-// recency. Expired entries are evicted on contact.
-func (c *lru) get(key queryKey, now time.Time, ttl time.Duration) bool {
-	i, ok := c.entries[key]
+// get reports whether the identity was answered within the TTL of now,
+// marking it visited. It builds no key string: the conversion inside the
+// index expression does not allocate. Expired entries are removed on
+// contact.
+func (c *sieve) get(schema *core.Schema, id core.AttrID, args []byte, now time.Time) bool {
+	i, ok := c.entries[queryKey{schema, id, string(args)}]
 	if !ok {
 		return false
 	}
-	if ttl > 0 && now.Sub(c.slots[i].at) > ttl {
+	if c.ttl > 0 && now.Sub(c.slots[i].at) > c.ttl {
 		c.remove(i)
 		return false
 	}
-	c.moveToFront(i)
+	c.slots[i].visited = true
 	return true
 }
 
-// put records key as answered at time at, evicting the least recently used
-// entry when full.
-func (c *lru) put(key queryKey, at time.Time) {
-	if c.cap == 0 {
-		return
-	}
+// put records key as answered at time at, evicting one entry when full;
+// it reports whether it did. A key already present counts as a hit.
+func (c *sieve) put(key queryKey, at time.Time) (evicted bool) {
 	if i, ok := c.entries[key]; ok {
 		c.slots[i].at = at
-		c.moveToFront(i)
-		return
+		c.slots[i].visited = true
+		return false
 	}
 	if len(c.free) == 0 {
-		c.remove(c.tail)
+		c.evict()
+		evicted = true
 	}
 	i := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	c.slots[i] = lruSlot{key: key, at: at, prev: -1, next: c.head}
+	c.slots[i] = sieveSlot{key: key, at: at, prev: -1, next: c.head}
 	if c.head >= 0 {
 		c.slots[c.head].prev = i
 	}
@@ -547,26 +564,33 @@ func (c *lru) put(key queryKey, at time.Time) {
 		c.tail = i
 	}
 	c.entries[key] = i
+	return evicted
 }
 
-func (c *lru) moveToFront(i int) {
-	if c.head == i {
-		return
+// evict moves the hand to the first unvisited entry, clearing visited bits
+// on the way, and removes it. The cache is full, so the walk ends within
+// one lap.
+func (c *sieve) evict() {
+	i := c.hand
+	if i < 0 {
+		i = c.tail
 	}
-	s := &c.slots[i]
-	c.slots[s.prev].next = s.next
-	if s.next >= 0 {
-		c.slots[s.next].prev = s.prev
-	} else {
-		c.tail = s.prev
+	for c.slots[i].visited {
+		c.slots[i].visited = false
+		if i = c.slots[i].prev; i < 0 {
+			i = c.tail
+		}
 	}
-	s.prev, s.next = -1, c.head
-	c.slots[c.head].prev = i
-	c.head = i
+	c.hand = i
+	c.remove(i)
 }
 
-func (c *lru) remove(i int) {
+// remove unlinks slot i; a hand resting on it moves on toward the head.
+func (c *sieve) remove(i int) {
 	s := &c.slots[i]
+	if c.hand == i {
+		c.hand = s.prev
+	}
 	if s.prev >= 0 {
 		c.slots[s.prev].next = s.next
 	} else {
@@ -578,5 +602,6 @@ func (c *lru) remove(i int) {
 		c.tail = s.prev
 	}
 	delete(c.entries, s.key)
+	*s = sieveSlot{} // drop the key's schema and args
 	c.free = append(c.free, i)
 }

@@ -20,72 +20,6 @@ func genPattern(t testing.TB) *gen.Generated {
 	return gen.Generate(gen.Default())
 }
 
-// --- LRU unit tests ---
-
-func qk(args string) queryKey { return queryKey{args: args} }
-
-func TestLRUCapacityEviction(t *testing.T) {
-	var c lru
-	c.init(2)
-	t0 := time.Unix(0, 0)
-	c.put(qk("a"), t0)
-	c.put(qk("b"), t0)
-	if !c.get(qk("a"), t0, 0) { // refresh a; b becomes LRU
-		t.Fatal("a should be cached")
-	}
-	c.put(qk("c"), t0) // evicts b
-	if c.get(qk("b"), t0, 0) {
-		t.Fatal("b should have been evicted as least recently used")
-	}
-	if !c.get(qk("a"), t0, 0) || !c.get(qk("c"), t0, 0) {
-		t.Fatal("a and c should be cached")
-	}
-	c.put(qk("d"), t0) // evicts b's replacement victim: now a is LRU? a was refreshed after c... c then a order
-	if len(c.entries) != 2 {
-		t.Fatalf("cache holds %d entries, want 2", len(c.entries))
-	}
-}
-
-func TestLRUTTLExpiry(t *testing.T) {
-	var c lru
-	c.init(4)
-	t0 := time.Unix(100, 0)
-	c.put(qk("a"), t0)
-	if !c.get(qk("a"), t0.Add(time.Second), 2*time.Second) {
-		t.Fatal("entry within TTL should hit")
-	}
-	if c.get(qk("a"), t0.Add(3*time.Second), 2*time.Second) {
-		t.Fatal("entry past TTL should miss")
-	}
-	// Expired entry was evicted on contact; a fresh put reuses its slot.
-	c.put(qk("a"), t0.Add(4*time.Second))
-	if !c.get(qk("a"), t0.Add(5*time.Second), 2*time.Second) {
-		t.Fatal("refreshed entry should hit")
-	}
-}
-
-func TestLRUChurn(t *testing.T) {
-	var c lru
-	c.init(8)
-	t0 := time.Unix(0, 0)
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
-	for round := 0; round < 50; round++ {
-		for _, k := range keys {
-			c.put(qk(k), t0)
-			c.get(qk(k), t0, 0)
-		}
-		if len(c.entries) > 8 {
-			t.Fatalf("cache grew past capacity: %d", len(c.entries))
-		}
-	}
-	// The 8 most recently used keys survive.
-	for _, k := range keys[len(keys)-8:] {
-		if !c.get(qk(k), t0, 0) {
-			t.Fatalf("recently used key %q missing", k)
-		}
-	}
-}
-
 // --- dispatcher behavior against a live service ---
 
 // batchCountingBackend records lone and combined round trips.

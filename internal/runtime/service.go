@@ -291,6 +291,7 @@ func (s *Service) InstallPeerRouter(p PeerExec) error {
 // call never waits for an admission permit, but it may flush a batch (the
 // one it fills, or its own on an idle node) and so block on the backend's
 // own bound (e.g. Latency.Parallel): run it off any latency-sensitive loop.
+// args is read only during the call.
 func (s *Service) ServePeerQuery(schema *core.Schema, id core.AttrID, args []byte, cost int, done func(error)) error {
 	d := s.disp
 	if d == nil || (!d.cfg.Dedup && d.cfg.CacheSize == 0) {
@@ -304,9 +305,8 @@ func (s *Service) ServePeerQuery(schema *core.Schema, id core.AttrID, args []byt
 	s.active.Add(1)
 	s.closeMu.RUnlock()
 	d.peerServed.Add(1)
-	key := queryKey{schema: schema, id: id, args: string(args)}
 	d.hold()
-	d.submitKeyed(key, hashKey(key), cost, func(err error) {
+	d.submitKeyed(schema, id, args, hashIdentity(schema, id, args), cost, func(err error) {
 		done(err)
 		s.active.Done()
 	})
@@ -572,15 +572,11 @@ func (in *inst) launch(id core.AttrID, cost int) {
 		svc.cfg.Backend.Exec(in.q[:], in.execFn(id))
 		return
 	}
-	var key queryKey
 	keyed := false
 	if d.needsKey() {
 		in.keyBuf, keyed = in.core.AppendQueryArgs(id, in.keyBuf[:0])
-		if keyed {
-			key = queryKey{schema: in.req.Schema, id: id, args: string(in.keyBuf)}
-		}
 	}
-	d.Submit(key, keyed, cost, in.doneFn(id))
+	d.Submit(in.req.Schema, id, in.keyBuf, keyed, cost, in.doneFn(id))
 }
 
 // abort terminates the instance early on cancellation: waste accounting is

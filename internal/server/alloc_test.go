@@ -188,11 +188,11 @@ func checkWireAllocs(t *testing.T, got, limit float64) {
 // The limits are counts measured with go1.24 on linux/amd64, client and
 // server together.
 const (
-	allocsHTTPEval        = 132
-	allocsHTTPEvalValues  = 134
-	allocsHTTPEvalBatch32 = 338
-	allocsBinEval         = 14
-	allocsBinEvalValues   = 14
-	allocsBinEvalBatch32  = 235
-	allocsPeerEvalBatch64 = 1275
+	allocsHTTPEval        = 127
+	allocsHTTPEvalValues  = 129
+	allocsHTTPEvalBatch32 = 242
+	allocsBinEval         = 9
+	allocsBinEvalValues   = 9
+	allocsBinEvalBatch32  = 139
+	allocsPeerEvalBatch64 = 1138
 )

@@ -17,6 +17,7 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -353,36 +354,47 @@ func Max(a, b Value) Value {
 // null, true/false, decimal numbers, double-quoted strings, and
 // bracket-delimited lists.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendString(buf[:0]))
+}
+
+// AppendString appends String's rendering of v to dst and returns the
+// extended buffer, without building the string.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "null"
+		return append(dst, "null"...)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(dst, v.b)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	case KindFloat:
 		if math.IsInf(v.f, 1) {
-			return "+inf"
+			return append(dst, "+inf"...)
 		}
 		if math.IsInf(v.f, -1) {
-			return "-inf"
+			return append(dst, "-inf"...)
 		}
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
-		// Ensure floats round-trip as floats, not ints.
-		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "inf") && !strings.Contains(s, "NaN") {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		// Ensure floats round-trip as floats, not ints ('N' is NaN's).
+		if !bytes.ContainsAny(dst[start:], ".eEN") {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(dst, v.s)
 	case KindList:
-		parts := make([]string, len(v.list))
+		dst = append(dst, '[')
 		for i, e := range v.list {
-			parts[i] = e.String()
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = e.AppendString(dst)
 		}
-		return "[" + strings.Join(parts, ", ") + "]"
+		return append(dst, ']')
 	default:
-		return fmt.Sprintf("Value(kind=%d)", v.kind)
+		return fmt.Appendf(dst, "Value(kind=%d)", v.kind)
 	}
 }
 

@@ -269,6 +269,60 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestAppendStringMatchesString pins AppendString to String's rendering,
+// and both to the bytes String produced before AppendString existed: query
+// identities are rendered this way and hashed for cluster shard and peer
+// home placement, so one changed byte would move a query to another shard.
+func TestAppendStringMatchesString(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Null, "null"},
+		{Bool(true), "true"},
+		{Bool(false), "false"},
+		{Int(0), "0"},
+		{Int(7), "7"},
+		{Int(99), "99"},
+		{Int(100), "100"},
+		{Int(-1), "-1"},
+		{Int(-120), "-120"},
+		{Int(math.MaxInt64), "9223372036854775807"},
+		{Int(math.MinInt64), "-9223372036854775808"},
+		{Float(1.0), "1.0"},
+		{Float(0.1), "0.1"},
+		{Float(1e21), "1e+21"},
+		{Float(math.Copysign(0, -1)), "-0.0"},
+		{Float(math.NaN()), "NaN"},
+		{Float(math.Inf(1)), "+inf"},
+		{Float(math.Inf(-1)), "-inf"},
+		{Float(-8), "-8.0"},
+		{Float(2.5e-7), "2.5e-07"},
+		{Float(123456789), "1.23456789e+08"},
+		{Str(""), `""`},
+		{Str(`say "hi"`), `"say \"hi\""`},
+		{Str("tab\tnew\nline\\"), `"tab\tnew\nline\\"`},
+		{Str("héllo, 世界"), `"héllo, 世界"`},
+		{Str("\x00\x1f\x7f"), `"\x00\x1f\x7f"`},
+		{Str("\xff"), `"\xff"`},
+		{List(), "[]"},
+		{List(Int(1), Str("x")), `[1, "x"]`},
+		{List(Null, List(Float(2), List(Bool(false))), Str("]")), `[null, [2.0, [false]], "]"]`},
+	}
+	for _, tc := range cases {
+		if got := string(tc.v.AppendString(nil)); got != tc.want {
+			t.Errorf("AppendString(nil) of %#v = %q, want %q", tc.v, got, tc.want)
+		}
+		if got := tc.v.String(); got != tc.want {
+			t.Errorf("String() of %#v = %q, want %q", tc.v, got, tc.want)
+		}
+		// Appending keeps what the buffer already holds.
+		if got := string(tc.v.AppendString([]byte("x\x1f"))); got != "x\x1f"+tc.want {
+			t.Errorf("AppendString onto a prefix = %q, want %q", got, "x\x1f"+tc.want)
+		}
+	}
+}
+
 func TestSortValues(t *testing.T) {
 	vs := []Value{Int(3), Int(1), Float(2.5), Int(2)}
 	SortValues(vs)
