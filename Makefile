@@ -56,7 +56,9 @@ bench:
 # encode and result encode are byte-identical to json.Marshal; and the
 # attribute cache (random put/get/clock sequences against a map model: a
 # hit only for a present, unexpired identity, never over capacity, map and
-# eviction queue in agreement).
+# eviction queue in agreement); and the cluster's replica selector (random
+# shards of 1-8 replicas: an index in range, a qualifying replica whenever
+# one exists, never the unique most loaded of two or more qualifying).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchResponseDecode$$' -fuzztime=5s ./internal/api
 	$(GO) test -run='^$$' -fuzz='^FuzzEvalResultEncode$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOps$$' -fuzztime=5s ./internal/runtime
+	$(GO) test -run='^$$' -fuzz='^FuzzPick$$' -fuzztime=5s ./internal/runtime
 
 # Deterministic chaos suite: kill/stall/degrade cluster replicas mid-run
 # and assert the oracle invariant, work conservation, and launch-exact

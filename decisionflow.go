@@ -264,8 +264,8 @@ type PacedSimBackend = rt.PacedSim
 // the same shard; the query layer (batching/dedup/cache) composes on top.
 type ClusterBackend = rt.Cluster
 
-// ClusterConfig configures a ClusterBackend (topology, load balancing,
-// retries, deadline, hedging, breaker).
+// ClusterConfig configures a ClusterBackend (topology, retries, deadline,
+// hedging, breaker).
 type ClusterConfig = rt.ClusterConfig
 
 // ClusterStats is the cluster's resilience counters: hedges won, retries,
@@ -274,20 +274,6 @@ type ClusterStats = rt.ClusterStats
 
 // ReplicaStats is one replica's traffic view within ClusterStats.
 type ReplicaStats = rt.ReplicaStats
-
-// LBPolicy selects how a cluster shard picks replicas: RoundRobin,
-// LeastInFlight, or PowerOfTwo (two random choices, keep the less loaded).
-type LBPolicy = rt.LBPolicy
-
-// Replica load-balancing policies.
-const (
-	RoundRobin    = rt.RoundRobin
-	LeastInFlight = rt.LeastInFlight
-	PowerOfTwo    = rt.PowerOfTwo
-)
-
-// ParseLBPolicy parses a policy name: "rr", "least" or "p2c".
-func ParseLBPolicy(name string) (LBPolicy, error) { return rt.ParseLBPolicy(name) }
 
 // NewClusterBackend builds the shard × replica topology.
 func NewClusterBackend(cfg ClusterConfig) *ClusterBackend { return rt.NewCluster(cfg) }

@@ -105,14 +105,9 @@ func TestPublicAPIClusterService(t *testing.T) {
 	sources := decisionflow.Sources{"x": decisionflow.Int(1)}
 	st := decisionflow.MustParseStrategy("PSE100")
 
-	lb, err := decisionflow.ParseLBPolicy("p2c")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cluster := decisionflow.NewClusterBackend(decisionflow.ClusterConfig{
 		Shards:   2,
 		Replicas: 2,
-		LB:       lb,
 		Retries:  3,
 		New: func(s, r int) decisionflow.Backend {
 			be := &decisionflow.LatencyBackend{Base: 50 * time.Microsecond, Seed: int64(s*2 + r)}

@@ -38,7 +38,6 @@ type Flags struct {
 
 	Shards   int
 	Replicas int
-	LBName   string
 	Hedge    time.Duration
 	HedgeQ   float64
 	Retries  int
@@ -73,7 +72,6 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&f.CacheTTL, "cachettl", 0, "query layer: cache entry TTL (0 = never expires)")
 	fs.IntVar(&f.Shards, "shards", 0, "cluster: consistent-hash shards (0 = single backend, no cluster)")
 	fs.IntVar(&f.Replicas, "replicas", 1, "cluster: replicas per shard")
-	fs.StringVar(&f.LBName, "lb", "rr", "cluster: replica load balancing: rr | least | p2c")
 	fs.DurationVar(&f.Hedge, "hedge", 0, "cluster: hedge a request on a second replica after this delay (0 = off)")
 	fs.Float64Var(&f.HedgeQ, "hedgeq", 0, "cluster: hedge past this observed latency quantile, e.g. 0.95 (used when -hedge is 0)")
 	fs.IntVar(&f.Retries, "retries", 1, "cluster: extra attempts (on another replica) after an error or timeout")
@@ -251,15 +249,10 @@ func (f *Flags) Build() (*Built, error) {
 
 	var db runtime.Backend
 	if f.Shards > 0 || f.Replicas > 1 {
-		lb, err := runtime.ParseLBPolicy(f.LBName)
-		if err != nil {
-			return nil, err
-		}
 		var buildErr error
 		bu.Cluster = runtime.NewCluster(runtime.ClusterConfig{
 			Shards:        max(f.Shards, 1),
 			Replicas:      f.Replicas,
-			LB:            lb,
 			Retries:       f.Retries,
 			Deadline:      f.Deadline,
 			HedgeDelay:    f.Hedge,
@@ -312,8 +305,8 @@ func (f *Flags) Describe() string {
 			f.Batch, f.Window, f.Dedup, f.Cache, f.CacheTTL)
 	}
 	if f.Shards > 0 || f.Replicas > 1 {
-		fmt.Fprintf(&b, ", cluster [%dx%d lb=%s retries=%d deadline=%v hedge=%v/q%.2f skew=%g]",
-			max(f.Shards, 1), f.Replicas, f.LBName, f.Retries, f.Deadline, f.Hedge, f.HedgeQ, f.Skew)
+		fmt.Fprintf(&b, ", cluster [%dx%d retries=%d deadline=%v hedge=%v/q%.2f skew=%g]",
+			max(f.Shards, 1), f.Replicas, f.Retries, f.Deadline, f.Hedge, f.HedgeQ, f.Skew)
 	}
 	return b.String()
 }

@@ -34,18 +34,26 @@ backend = "latency"   # quoted string, trailing comment
 base = 500us
 batch = 32
 dedup = true
-lb = p2c              # bare string value
 jitter = 0.5
 `)
 	if err := ApplyConfigFile(fs, path); err != nil {
 		t.Fatal(err)
 	}
 	if f.Backend != "latency" || f.Base != 500*time.Microsecond || f.Batch != 32 ||
-		!f.Dedup || f.LBName != "p2c" || f.Jitter != 0.5 {
+		!f.Dedup || f.Jitter != 0.5 {
 		t.Fatalf("config not applied: %+v", f)
 	}
 	if f.Cache != 0 {
 		t.Fatalf("untouched flag lost its default: cache = %d", f.Cache)
+	}
+
+	fs, f = newSet(t)
+	path = writeTemp(t, "bare.toml", "backend = simdb   # bare string value\n")
+	if err := ApplyConfigFile(fs, path); err != nil {
+		t.Fatal(err)
+	}
+	if f.Backend != "simdb" {
+		t.Fatalf("bare string value not applied: backend = %q", f.Backend)
 	}
 }
 
@@ -90,6 +98,7 @@ func TestApplyConfigFileErrors(t *testing.T) {
 		name, content, wantSub string
 	}{
 		{"unknown key", "nosuchflag = 1\n", "unknown key"},
+		{"removed lb key", "lb = rr\n", "unknown key"},
 		{"meta flag", `config = "other.toml"` + "\n", "cannot be set from a config file"},
 		{"bad value", "batch = many\n", `key "batch"`},
 		{"section", "[cluster]\nshards = 4\n", "sections are not supported"},
@@ -125,7 +134,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	fs, f := newSet(t)
 	args := []string{
 		"-backend", "latency", "-base", "750us", "-batch", "16",
-		"-dedup", "-lb", "least", "-jitter", "0.3", "-shards", "2",
+		"-dedup", "-jitter", "0.3", "-shards", "2",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)

@@ -141,16 +141,16 @@ func spreadVariants(sources map[string]value.Value, n int) func(i int) map[strin
 // benchCluster is the tail-tolerance acceptance scenario: a 4-shard ×
 // 2-replica Latency cluster with one replica (shard 0, replica 1) skewed
 // 10× slower — the "slow machine" of the tail-at-scale setting. Instances
-// spread over 4096 source vectors, so ~1/8 of queries land on the slow
-// replica under round-robin. Hedging (just past the healthy latency band)
-// re-issues exactly those queries to the shard's healthy replica; p99-ms
-// and hedge-win-rate make the cut visible in the benchmark output.
+// spread over 4096 source vectors, so up to ~1/8 of queries land on the
+// slow replica (fewer while its backlog steers the selector away).
+// Hedging (just past the healthy latency band) re-issues exactly those
+// queries to the shard's healthy replica; p99-ms and hedge-win-rate make
+// the cut visible in the benchmark output.
 func benchCluster(b *testing.B, hedge time.Duration) {
 	s, sources := quickstart(b)
 	cl := NewCluster(ClusterConfig{
 		Shards:     4,
 		Replicas:   2,
-		LB:         RoundRobin,
 		Retries:    1,
 		HedgeDelay: hedge,
 		New: func(shard, rep int) Backend {
@@ -239,7 +239,7 @@ func (p *flushProbe) Exec(qs []Query, each func(i int, err error)) {
 func BenchmarkLoneRequestZipf(b *testing.B) {
 	s, sources := quickstart(b)
 	probe := &flushProbe{Cluster: NewCluster(ClusterConfig{
-		Shards: 2, Replicas: 2, LB: RoundRobin,
+		Shards: 2, Replicas: 2,
 		New: func(shard, rep int) Backend {
 			return &Latency{Base: 500 * time.Microsecond, PerUnit: 50 * time.Microsecond, Jitter: 0.2}
 		},

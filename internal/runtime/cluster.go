@@ -55,8 +55,6 @@ type ClusterConfig struct {
 	// New constructs the backend of (shard, replica); required. The faults
 	// it reports are what the cluster retries around.
 	New func(shard, replica int) Backend
-	// LB selects the replica load-balancing policy (default RoundRobin).
-	LB LBPolicy
 	// Retries is the maximum extra attempts after the first, each
 	// preferring an untried replica (default 0: fail fast).
 	Retries int
@@ -236,11 +234,9 @@ func (cl *Cluster) hedgeDelay(sh *cshard) time.Duration {
 // synchronously, and the completion path takes the lock.
 func (c *call) launchLocked(isHedge bool) *attempt {
 	now := time.Now()
-	rep := c.sh.pick(c.cl.cfg.LB, c.tried, now.UnixNano())
-	if i := c.sh.index(rep); i >= 0 {
-		c.tried |= 1 << uint(i)
-	}
-	at := &attempt{rep: rep, start: now, isHedge: isHedge}
+	i := c.sh.pick(c.tried, now.UnixNano())
+	c.tried |= 1 << uint(i)
+	at := &attempt{rep: c.sh.replicas[i], start: now, isHedge: isHedge}
 	c.outstanding++
 	if d := c.cl.cfg.Deadline; d > 0 {
 		at.deadline = time.AfterFunc(d, func() { c.timeout(at) })

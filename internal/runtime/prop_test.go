@@ -189,11 +189,10 @@ func TestPropertyRandomSchemasAllCombos(t *testing.T) {
 }
 
 // TestPropertyClusterTopologies extends the random-schema sweep across the
-// cluster dimension: sampled topologies (1–4 shards × 1–3 replicas), every
-// load-balancing policy, hedging on and off, crossed with query-layer
-// configurations — so the query-layer × cluster product is covered by the
-// same oracle, conservation and billing checks as the single-backend
-// sweep. Replicas are jittered Latency backends, so completion
+// cluster dimension: sampled topologies (1–4 shards × 1–3 replicas), hedging
+// on and off, crossed with query-layer configurations — so the query-layer
+// × cluster product is covered by the same oracle, conservation and billing
+// checks as the single-backend sweep. Replicas are jittered Latency backends, so completion
 // interleavings vary while every query ultimately succeeds.
 func TestPropertyClusterTopologies(t *testing.T) {
 	schemas := 18
@@ -202,7 +201,6 @@ func TestPropertyClusterTopologies(t *testing.T) {
 	}
 	type topo struct {
 		shards, replicas int
-		lb               LBPolicy
 		hedge            time.Duration
 		query            QueryConfig
 	}
@@ -210,25 +208,24 @@ func TestPropertyClusterTopologies(t *testing.T) {
 	cacheq := QueryConfig{Dedup: true, CacheSize: 256}
 	allq := QueryConfig{BatchSize: 4, BatchWindow: 30 * time.Microsecond, Dedup: true, CacheSize: 256}
 	topos := []topo{
-		{1, 2, RoundRobin, 0, QueryConfig{}},
-		{2, 1, LeastInFlight, 0, batchq},
-		{2, 3, PowerOfTwo, 500 * time.Microsecond, cacheq},
-		{3, 2, RoundRobin, 500 * time.Microsecond, allq},
-		{4, 2, LeastInFlight, 0, allq},
-		{4, 3, PowerOfTwo, 0, batchq},
-		{3, 1, RoundRobin, 0, cacheq},
-		{4, 1, PowerOfTwo, 500 * time.Microsecond, QueryConfig{}},
+		{1, 2, 0, QueryConfig{}},
+		{2, 1, 0, batchq},
+		{2, 3, 500 * time.Microsecond, cacheq},
+		{3, 2, 500 * time.Microsecond, allq},
+		{4, 2, 0, allq},
+		{4, 3, 0, batchq},
+		{3, 1, 0, cacheq},
+		{4, 1, 500 * time.Microsecond, QueryConfig{}},
 	}
 	for ti, tp := range topos {
 		tp := tp
-		name := fmt.Sprintf("%dx%d-%v-hedge%v", tp.shards, tp.replicas, tp.lb, tp.hedge > 0)
+		name := fmt.Sprintf("%dx%d-hedge%v", tp.shards, tp.replicas, tp.hedge > 0)
 		seed := int64(9000 + 31*ti)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cl := NewCluster(ClusterConfig{
 				Shards:     tp.shards,
 				Replicas:   tp.replicas,
-				LB:         tp.lb,
 				Retries:    2,
 				HedgeDelay: tp.hedge,
 				New: func(s, r int) Backend {

@@ -84,7 +84,7 @@ type PeerQuery struct {
 	Args string
 	// Cost is the query's cost in units of processing.
 	Cost int
-	// Hash is the sharing-identity hash (hashKey), the ring placement key.
+	// Hash is the sharing-identity hash (hashIdentity), the ring placement key.
 	Hash uint64
 }
 

@@ -1,7 +1,7 @@
 package runtime
 
 import (
-	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,52 +10,10 @@ import (
 )
 
 // This file is the routing half of the cluster backend: consistent shard
-// placement, replica load balancing, the per-replica circuit breaker, and
+// placement, replica selection, the per-replica circuit breaker, and
 // the per-shard latency histogram that drives percentile hedging.
 // cluster.go owns the per-query lifecycle (attempts, retries, hedges) on
 // top of it.
-
-// LBPolicy selects how a shard picks the replica for a query.
-type LBPolicy int
-
-const (
-	// RoundRobin rotates through the shard's healthy replicas.
-	RoundRobin LBPolicy = iota
-	// LeastInFlight picks the healthy replica with the fewest queries
-	// currently outstanding — the strongest signal, at the cost of
-	// scanning every replica.
-	LeastInFlight
-	// PowerOfTwo samples two healthy replicas and keeps the less loaded —
-	// most of LeastInFlight's benefit at O(1) cost ("the power of two
-	// choices").
-	PowerOfTwo
-)
-
-// String renders the policy as its dfsd -lb flag value.
-func (p LBPolicy) String() string {
-	switch p {
-	case RoundRobin:
-		return "rr"
-	case LeastInFlight:
-		return "least"
-	case PowerOfTwo:
-		return "p2c"
-	}
-	return fmt.Sprintf("LBPolicy(%d)", int(p))
-}
-
-// ParseLBPolicy parses a dfsd -lb policy name.
-func ParseLBPolicy(name string) (LBPolicy, error) {
-	switch name {
-	case "rr", "roundrobin":
-		return RoundRobin, nil
-	case "least", "least-in-flight":
-		return LeastInFlight, nil
-	case "p2c", "power-of-two":
-		return PowerOfTwo, nil
-	}
-	return 0, fmt.Errorf("runtime: unknown load-balancing policy %q (want rr, least or p2c)", name)
-}
 
 // jumpHash is Lamping–Veach jump consistent hashing: a uniform, stateless
 // map from a 64-bit key to one of n buckets where growing n from n to n+1
@@ -72,8 +30,8 @@ func jumpHash(key uint64, n int) int {
 }
 
 // splitmix64 finalizes a weak sequence number into a well-mixed hash; it
-// spreads unroutable (volatile) queries uniformly over shards and feeds
-// the power-of-two replica sampler.
+// spreads unroutable (volatile) queries uniformly over shards and draws
+// the replica selector's two choices.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -255,123 +213,77 @@ func (r *replica) exec(qs []Query, done func(error)) {
 // --- shard-level replica selection ---
 
 // cshard is one consistent-hash partition of the cluster: R replicas plus
-// the selection state and the latency histogram driving hedge delays.
+// the selector's draw counter and the latency histogram driving hedge
+// delays.
 type cshard struct {
 	replicas []*replica
-	rr       atomic.Uint64 // round-robin cursor / p2c sample stream
+	draws    atomic.Uint64 // hashed into the selector's two choices
 	lat      hist.Hist
 }
 
-// pick selects a replica for a new attempt under the policy, skipping
-// replicas whose bit is set in exclude (already tried by this query) and
-// replicas whose breaker is open. When every replica is excluded or
-// broken it falls back to ignoring first the breaker, then the exclusion
-// — availability over perfect placement; a completely dead shard still
-// gets traffic (and fast errors) rather than none.
-func (sh *cshard) pick(policy LBPolicy, exclude uint64, now int64) *replica {
-	if len(sh.replicas) == 1 {
-		return sh.replicas[0]
-	}
-	if r := sh.pickAvailable(policy, exclude, now); r != nil {
-		return r
-	}
-	if r := sh.pickAvailable(policy, 0, now); r != nil {
-		return r
-	}
-	// Whole shard broken: least-loaded untried, then least-loaded overall.
-	if r := sh.pickLeast(exclude); r != nil {
-		return r
-	}
-	return sh.pickLeast(0)
-}
-
-// pickAvailable applies the policy over non-excluded, breaker-admitted
-// replicas; nil when none qualifies. The returned replica's admission
-// (including the half-open probe slot, if that's what it was) is claimed.
-func (sh *cshard) pickAvailable(policy LBPolicy, exclude uint64, now int64) *replica {
+// pick returns the index of the replica for a new attempt — a primary, a
+// retry or a hedge alike. The candidates are the replicas whose bit is
+// clear in exclude (already tried by this call) and whose breaker admits
+// traffic; of two distinct ones drawn at random it keeps the one with
+// fewer attempts in flight (the power of two choices). When none
+// qualifies it drops first the exclusion, then the breaker — availability
+// over perfect placement; a completely dead shard still gets traffic (and
+// fast errors) rather than none.
+func (sh *cshard) pick(exclude uint64, now int64) int {
 	n := len(sh.replicas)
-	switch policy {
-	case LeastInFlight:
-		// Rank read-only, then claim; a lost probe-claim race excludes the
-		// candidate and re-ranks, so a probe slot is never stranded.
-		for {
-			var best *replica
-			for i, r := range sh.replicas {
-				if exclude&(1<<uint(i)) != 0 || !r.brk.admissible(now) {
-					continue
-				}
-				if best == nil || r.inFlight.Load() < best.inFlight.Load() {
-					best = r
-				}
-			}
-			if best == nil {
-				return nil
-			}
-			if best.brk.admit(now) {
-				return best
-			}
-			exclude |= 1 << uint(sh.index(best))
-		}
-	case PowerOfTwo:
-		h := splitmix64(sh.rr.Add(1))
-		a := sh.replicas[int(h%uint64(n))]
-		b := sh.replicas[int((h>>32)%uint64(n))]
-		if b.inFlight.Load() < a.inFlight.Load() {
-			a, b = b, a
-		}
-		for _, r := range []*replica{a, b} {
-			if !sh.excluded(r, exclude) && r.brk.admit(now) {
-				return r
-			}
-		}
-		// Both samples unusable: degrade to a round-robin style scan.
-		fallthrough
-	default: // RoundRobin
-		start := sh.rr.Add(1)
-		for i := 0; i < n; i++ {
-			r := sh.replicas[int((start+uint64(i))%uint64(n))]
-			if !sh.excluded(r, exclude) && r.brk.admit(now) {
-				return r
-			}
-		}
-		return nil
+	if n == 1 {
+		return 0
 	}
-}
-
-// pickLeast is the degraded-mode selector: least in flight among
-// non-excluded replicas, breaker ignored.
-func (sh *cshard) pickLeast(exclude uint64) *replica {
-	var best *replica
+	var admissible uint64
 	for i, r := range sh.replicas {
-		if exclude&(1<<uint(i)) != 0 {
-			continue
-		}
-		if best == nil || r.inFlight.Load() < best.inFlight.Load() {
-			best = r
+		if r.brk.admissible(now) {
+			admissible |= 1 << uint(i)
 		}
 	}
-	return best
+	for _, cand := range [2]uint64{admissible &^ exclude, admissible} {
+		// Rank read-only, then claim; a lost probe-claim race drops the
+		// candidate and re-ranks, so a half-open probe slot is never
+		// stranded.
+		for cand != 0 {
+			i := sh.choose(cand)
+			if sh.replicas[i].brk.admit(now) {
+				return i
+			}
+			cand &^= 1 << uint(i)
+		}
+	}
+	all := uint64(1)<<uint(n) - 1
+	if cand := all &^ exclude; cand != 0 {
+		return sh.choose(cand)
+	}
+	return sh.choose(all)
 }
 
-// excluded reports whether r's bit is set in the exclusion mask.
-func (sh *cshard) excluded(r *replica, exclude uint64) bool {
-	if exclude == 0 {
-		return false
+// choose draws two distinct members of the non-empty set cand and returns
+// the one with fewer attempts in flight, the first draw on a tie. A lone
+// member is returned without consuming a draw.
+func (sh *cshard) choose(cand uint64) int {
+	k := uint32(bits.OnesCount64(cand))
+	if k == 1 {
+		return bits.TrailingZeros64(cand)
 	}
-	for i, cand := range sh.replicas {
-		if cand == r {
-			return exclude&(1<<uint(i)) != 0
-		}
+	h := splitmix64(sh.draws.Add(1))
+	a := uint32(h) % k
+	b := uint32(h>>32) % (k - 1)
+	if b >= a {
+		b++
 	}
-	return false
+	i, j := nthBit(cand, a), nthBit(cand, b)
+	if sh.replicas[j].inFlight.Load() < sh.replicas[i].inFlight.Load() {
+		return j
+	}
+	return i
 }
 
-// index returns r's position within the shard (for exclusion masks).
-func (sh *cshard) index(r *replica) int {
-	for i, cand := range sh.replicas {
-		if cand == r {
-			return i
-		}
+// nthBit returns the position of the k-th (from 0) set bit of m.
+func nthBit(m uint64, k uint32) int {
+	for ; k > 0; k-- {
+		m &= m - 1
 	}
-	return -1
+	return bits.TrailingZeros64(m)
 }
