@@ -26,18 +26,19 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# internal/runtime, internal/client, internal/hist, internal/load and
-# internal/server are the concurrent core (instance mailboxes, run queue,
-# the multiplexed dfbin connection, the lock-free latency histogram, the
-# load pacer's closed-loop chains, the eval countdown that runs on service
-# workers) and their interleavings differ with the number of Ps: on top of
+# internal/runtime, internal/client, internal/hist, internal/load,
+# internal/engine and internal/server are the concurrent core (instance
+# mailboxes, run queue, the multiplexed dfbin connection, the lock-free
+# latency histogram, the load pacer's closed-loop chains, the step tables
+# instances share, the eval countdown that runs on service workers) and
+# their interleavings differ with the number of Ps: on top of
 # the default GOMAXPROCS they run at 1, 2 and 4. internal/server runs on
 # its own: beside it, the runtime's millisecond cluster deadlines miss
 # under the race detector.
 RACE_CPUS ?= 1,2,4
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client ./internal/hist ./internal/load
+	$(GO) test -race -cpu $(RACE_CPUS) ./internal/runtime ./internal/client ./internal/hist ./internal/load ./internal/engine
 	$(GO) test -race -cpu $(RACE_CPUS) ./internal/server
 
 # Smoke-run every benchmark once; catches bit-rot without burning CI time.
@@ -58,7 +59,11 @@ bench:
 # hit only for a present, unexpired identity, never over capacity, map and
 # eviction queue in agreement); and the cluster's replica selector (random
 # shards of 1-8 replicas: an index in range, a qualifying replica whenever
-# one exists, never the unique most loaded of two or more qualifying).
+# one exists, never the unique most loaded of two or more qualifying); and
+# the engine's step memo (a random flow, strategy, completion order and
+# failure and abort rates, a Core replaying its step table beside a Core on
+# the plain path: equal states, values, events, launches and Result after
+# every call).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api
@@ -71,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEvalResultEncode$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOps$$' -fuzztime=5s ./internal/runtime
 	$(GO) test -run='^$$' -fuzz='^FuzzPick$$' -fuzztime=5s ./internal/runtime
+	$(GO) test -run='^$$' -fuzz='^FuzzStepMemo$$' -fuzztime=5s ./internal/engine
 
 # Deterministic chaos suite: kill/stall/degrade cluster replicas mid-run
 # and assert the oracle invariant, work conservation, and launch-exact

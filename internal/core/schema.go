@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/expr"
 )
@@ -46,6 +47,20 @@ type Schema struct {
 	// fingerprint is a deterministic hash of the schema structure, computed
 	// once at finalize; see Fingerprint.
 	fingerprint uint64
+
+	// memo holds the execution caches attached by Memo.
+	memo sync.Map
+}
+
+// Memo returns the value attached to the schema under key, attaching mk()'s
+// on first use. Execution layers hang per-schema caches here (the engine's
+// step tables), so a cache lives exactly as long as its schema.
+func (s *Schema) Memo(key any, mk func() any) any {
+	if v, ok := s.memo.Load(key); ok {
+		return v
+	}
+	v, _ := s.memo.LoadOrStore(key, mk())
+	return v
 }
 
 // Fingerprint returns a deterministic 64-bit hash of the schema structure

@@ -53,6 +53,12 @@ type Result struct {
 	// Failures is the number of foreign tasks that completed but delivered
 	// ⟂ due to injected failures (Engine.FailureProb).
 	Failures int
+	// StepMemoHits and StepMemoMisses count the instance's control steps
+	// replayed from its step table and run on the plain path (memo.go);
+	// StepMemoBytes is what its misses added to the table. They describe
+	// how the engine executed, not what: every other field is the same
+	// either way.
+	StepMemoHits, StepMemoMisses, StepMemoBytes int
 	// Err is non-nil if the instance could not reach a terminal snapshot
 	// (which indicates a malformed schema or an engine bug — tests assert
 	// it never happens).

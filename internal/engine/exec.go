@@ -52,22 +52,28 @@ type Core struct {
 	// scratch buffers keep Advance allocation-free at steady state.
 	cands []core.AttrID
 	sel   []core.AttrID
-	// mach executes the schema's compiled value programs (synthesis
-	// expressions) over the snapshot's dense slots; reused across Resets.
+	// mach executes the schema's compiled programs over the snapshot's
+	// dense slots; reused across Resets.
 	mach expr.Machine
+
+	// The step memo (memo.go). tab is the table of the instance's schema
+	// and strategy, cur its current state in it: nil on the plain path,
+	// where pq is live; on replay pq goes stale until a miss rebuilds it.
+	// from is the state the current step started in, rec whether its plain
+	// path is recording into log (through onMove and onCond), unbooked the
+	// launches Advance returned that await Book, hits the replays not yet
+	// reported to the table. obs is the caller's observer; plain (tests)
+	// keeps the core off the table.
+	tab            *stepTable
+	cur, from      *mstate
+	obs, onMove    snapshot.Observer
+	onCond         func(core.AttrID, expr.Truth)
+	log            []op
+	rec, plain     bool
+	unbooked, hits int
 
 	// OnSynthesis, if non-nil, observes each local synthesis execution.
 	OnSynthesis func(id core.AttrID)
-}
-
-// NewCore creates a core for one instance of the schema. res receives the
-// accounting; pass nil to allocate a fresh Result. obs, if non-nil, is
-// installed as the snapshot's transition observer before the initial
-// propagation pass, so it sees every transition from the very first.
-func NewCore(s *core.Schema, sources map[string]value.Value, st Strategy, res *Result, obs snapshot.Observer) *Core {
-	c := &Core{}
-	c.Reset(s, sources, st, res, obs)
-	return c
 }
 
 // Reset reinitializes the core for a new instance, reusing the snapshot,
@@ -95,13 +101,10 @@ func (c *Core) ResetSlots(s *core.Schema, slots []value.Value, st Strategy, res 
 }
 
 func (c *Core) reset(s *core.Schema, st Strategy, res *Result, obs snapshot.Observer) {
+	c.enter(s, st)
 	c.schema = s
+	c.obs = obs
 	c.sn.SetObserver(obs)
-	if c.pq == nil {
-		c.pq = prequal.New(c.sn, st.prequalOptions())
-	} else {
-		c.pq.Reset(c.sn, st.prequalOptions())
-	}
 	c.sch = sched.Scheduler{Heuristic: st.Heuristic, Permitted: st.Permitted}
 	if res == nil {
 		res = &Result{}
@@ -111,6 +114,10 @@ func (c *Core) reset(s *core.Schema, st Strategy, res *Result, obs snapshot.Obse
 	c.done = false
 	c.inFlight = c.inFlight[:0]
 	c.OnSynthesis = nil
+	if c.replay(inPrologue, core.NoAttr) == nil {
+		c.pq.Reset(c.sn, st.prequalOptions())
+		c.learn(inPrologue, StatusRunning, nil)
+	}
 }
 
 // Snapshot returns the instance's snapshot.
@@ -123,19 +130,33 @@ func (c *Core) Result() *Result { return c.res }
 // stuck, or aborted).
 func (c *Core) Done() bool { return c.done }
 
-// InFlight returns the number of launched-but-uncompleted foreign tasks.
-func (c *Core) InFlight() int { return len(c.inFlight) }
-
 // Advance runs the prequalifying and scheduling phases until quiescence:
 // synthesis candidates execute inline (they are local and free); foreign
 // candidates are selected within the strategy's parallelism budget and
 // returned for the caller to Book and submit. The returned slice is only
-// valid until the next Advance. On StatusDone and StatusStuck the core
-// seals waste accounting for any tasks still in flight.
-func (c *Core) Advance() ([]core.AttrID, Status) {
+// valid until the next Advance and must not be modified: it may be shared
+// with every instance whose step replays the same transition. Book each
+// before the next Complete or Advance, or the instance leaves its step
+// table. On StatusDone and StatusStuck the core seals waste accounting for
+// any tasks still in flight.
+func (c *Core) Advance() (launches []core.AttrID, status Status) {
 	if c.done {
 		return nil, StatusDone
 	}
+	if v := c.replay(inAdvance, core.NoAttr); v != nil {
+		if launches, status = v.launches, v.status; status != StatusRunning {
+			c.seal()
+		}
+	} else {
+		launches, status = c.advance()
+		c.learn(inAdvance, status, launches)
+	}
+	c.unbooked = len(launches)
+	return launches, status
+}
+
+// advance is Advance's plain path.
+func (c *Core) advance() ([]core.AttrID, Status) {
 	for {
 		if c.sn.Terminal() {
 			c.seal()
@@ -149,6 +170,9 @@ func (c *Core) Advance() ([]core.AttrID, Status) {
 		}
 		c.pq.MarkLaunched(id)
 		c.res.SynthesisRuns++
+		if c.rec {
+			c.log = append(c.log, op{id: id, synth: true})
+		}
 		if c.OnSynthesis != nil {
 			c.OnSynthesis(id)
 		}
@@ -176,10 +200,13 @@ func (c *Core) Advance() ([]core.AttrID, Status) {
 func (c *Core) Book(id core.AttrID) (cost int, speculative bool) {
 	cost = c.schema.Cost(id)
 	speculative = c.sn.State(id) == snapshot.Ready
-	c.pq.MarkLaunched(id)
 	c.res.Work += cost
 	c.res.Launched++
 	c.inFlight = append(c.inFlight, id)
+	c.unbooked = max(0, c.unbooked-1)
+	if c.cur == nil {
+		c.pq.MarkLaunched(id)
+	}
 	return cost, speculative
 }
 
@@ -224,16 +251,24 @@ func (c *Core) Complete(id core.AttrID, failed bool) (discarded bool) {
 	}
 	c.dropInFlight(id)
 	discarded = c.Discarded(id)
+	// A failure only changes the value delivered, and the step table
+	// branches on whatever a value decides, so both share one transition.
+	nullID := core.NoAttr
 	switch {
 	case discarded:
 		// The condition resolved false while the query ran: result discarded.
 		c.res.WastedWork += c.schema.Cost(id)
-		c.pq.NoteResult(id, value.Null)
 	case failed:
 		c.res.Failures++
-		c.pq.NoteResult(id, value.Null)
-	default:
-		c.pq.NoteResult(id, c.compute(id))
+		nullID = id
+	}
+	if c.replay(inComplete|uint64(id), nullID) == nil {
+		v := value.Null
+		if nullID != id && !discarded {
+			v = c.compute(id)
+		}
+		c.pq.NoteResult(id, v)
+		c.learn(inComplete|uint64(id), StatusRunning, nil)
 	}
 	return discarded
 }

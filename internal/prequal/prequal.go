@@ -72,9 +72,7 @@ type Prequalifier struct {
 	sn   *snapshot.Snapshot
 	opts Options
 
-	// vals and known are the snapshot's dense slot views (snapshot.Slots),
-	// the environment compiled condition programs execute against.
-	vals  []value.Value
+	// known is the snapshot's dense stability mask (snapshot.Slots).
 	known []bool
 	// mach is the reusable evaluation stack for compiled programs.
 	mach expr.Machine
@@ -116,6 +114,10 @@ type Prequalifier struct {
 	launched []bool
 	// queue is the forward worklist of newly stabilized attributes.
 	queue []core.AttrID
+
+	// OnCond, if non-nil, observes every condition execution and its
+	// outcome, in order with the snapshot's transitions.
+	OnCond func(b core.AttrID, t expr.Truth)
 }
 
 // New creates a prequalifier over the given snapshot and runs the initial
@@ -130,7 +132,10 @@ func New(sn *snapshot.Snapshot, opts Options) *Prequalifier {
 // Reset reinitializes the prequalifier over a (possibly different) snapshot
 // and option set, reusing its internal storage when large enough, and runs
 // the initial propagation pass. The wall-clock runtime pools prequalifiers
-// through Reset to keep its hot path allocation-free.
+// through Reset to keep its hot path allocation-free. sn may be part way
+// through an instance: the pass derives the propagation state from its
+// states alone, and the caller then marks what is in flight launched. The
+// engine's step memo rebuilds a prequalifier that way after a miss.
 //
 // The pass starts from the schema's compiled prologue (core.Build): the
 // unstable-input counts and needed/support tables of a fresh instance are
@@ -151,7 +156,7 @@ func (p *Prequalifier) bind(sn *snapshot.Snapshot, opts Options) {
 	s := sn.Schema()
 	n := s.NumAttrs()
 	p.s, p.sn, p.opts = s, sn, opts
-	p.vals, p.known = sn.Slots()
+	_, p.known = sn.Slots()
 	if cap(p.cond) < n {
 		p.cond = make([]expr.Truth, n)
 		p.unstableIn = make([]int, n)
@@ -428,11 +433,9 @@ func (p *Prequalifier) tryDecide(b core.AttrID) {
 	if !p.opts.Propagate && !p.stable.ContainsAll(p.s.EnablingDeps(b)) {
 		return
 	}
-	var t expr.Truth
-	if prog := p.s.CondProgram(b); prog != nil {
-		t = prog.Eval3(&p.mach, p.vals, p.known)
-	} else {
-		t = expr.Eval3(p.s.Attr(b).Enabling, p.sn.Env())
+	t := EvalCond(&p.mach, p.sn, b)
+	if p.OnCond != nil {
+		p.OnCond(b, t)
 	}
 	if t == expr.Unknown {
 		return
@@ -458,6 +461,16 @@ func (p *Prequalifier) tryDecide(b core.AttrID) {
 	case snapshot.Uninitialized:
 		p.sn.MustTransition(b, snapshot.Enabled)
 	}
+}
+
+// EvalCond executes b's enabling condition over sn: its compiled program
+// over the dense slots, or the tree-walker when it has none.
+func EvalCond(m *expr.Machine, sn *snapshot.Snapshot, b core.AttrID) expr.Truth {
+	if prog := sn.Schema().CondProgram(b); prog != nil {
+		vals, known := sn.Slots()
+		return prog.Eval3(m, vals, known)
+	}
+	return expr.Eval3(sn.Schema().Attr(b).Enabling, sn.Env())
 }
 
 // unneed removes b from the needed set — it stabilized, or the last thing

@@ -36,6 +36,11 @@ type Stats struct {
 	Launched      uint64
 	SynthesisRuns uint64
 	Failures      uint64
+	// StepMemoHits and StepMemoMisses sum the completed instances' control
+	// steps replayed from the engine's step tables and run on the plain
+	// path. StepMemoBytes is what their misses added to the tables of every
+	// schema and strategy the service ran: ResetStats leaves it alone.
+	StepMemoHits, StepMemoMisses, StepMemoBytes uint64
 	// Latency percentiles over completed instances (wall clock, submit to
 	// terminal snapshot), read from a log-linear histogram: each is at most
 	// 1/16 above the exact nearest-rank value and never above Max.
@@ -124,9 +129,12 @@ func (st Stats) AvgBatchSize() float64 {
 func (st Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b,
-		"completed=%d errors=%d work=%d wasted=%d launched=%d synthesis=%d\n"+
-			"latency p50=%v p95=%v p99=%v max=%v avg=%v",
-		st.Completed, st.Errors, st.Work, st.WastedWork, st.Launched, st.SynthesisRuns,
+		"completed=%d errors=%d work=%d wasted=%d launched=%d synthesis=%d",
+		st.Completed, st.Errors, st.Work, st.WastedWork, st.Launched, st.SynthesisRuns)
+	if st.StepMemoHits+st.StepMemoMisses > 0 {
+		fmt.Fprintf(&b, " memo=%d/%d", st.StepMemoHits, st.StepMemoMisses)
+	}
+	fmt.Fprintf(&b, "\nlatency p50=%v p95=%v p99=%v max=%v avg=%v",
 		st.P50, st.P95, st.P99, st.Max, st.AvgLatency)
 	st.writeLayers(&b)
 	for _, name := range slices.Sorted(maps.Keys(st.Tenants)) {
@@ -196,6 +204,9 @@ type shard struct {
 	launched        uint64
 	synth           uint64
 	failures        uint64
+	memoHits        uint64
+	memoMisses      uint64
+	memoBytes       uint64
 	lat             hist.Hist
 	tenants         map[string]*tenantCell
 }
@@ -219,6 +230,9 @@ func (sh *shard) record(r *engine.Result, latency time.Duration, tenant string) 
 	sh.launched += uint64(r.Launched)
 	sh.synth += uint64(r.SynthesisRuns)
 	sh.failures += uint64(r.Failures)
+	sh.memoHits += uint64(r.StepMemoHits)
+	sh.memoMisses += uint64(r.StepMemoMisses)
+	sh.memoBytes += uint64(r.StepMemoBytes)
 	sh.lat.Observe(latency)
 	if tenant != "" {
 		cell := sh.tenants[tenant]
@@ -295,6 +309,9 @@ func (s *Service) Stats() Stats {
 		st.Launched += sh.launched
 		st.SynthesisRuns += sh.synth
 		st.Failures += sh.failures
+		st.StepMemoHits += sh.memoHits
+		st.StepMemoMisses += sh.memoMisses
+		st.StepMemoBytes += sh.memoBytes
 		sh.lat.AddTo(&lat)
 		for name, cell := range sh.tenants {
 			if tenants == nil {
@@ -368,6 +385,7 @@ func (s *Service) ResetStats() {
 		sh.completed, sh.errors = 0, 0
 		sh.shadowCompleted, sh.shadowErrors = 0, 0
 		sh.work, sh.wasted, sh.launched, sh.synth, sh.failures = 0, 0, 0, 0, 0
+		sh.memoHits, sh.memoMisses = 0, 0
 		sh.lat = hist.Hist{} // no Observe races this: records hold sh.mu
 		sh.tenants = nil
 		sh.mu.Unlock()

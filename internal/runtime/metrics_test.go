@@ -73,6 +73,16 @@ func TestStatsStringGolden(t *testing.T) {
 				"  shard 1: r0[q=600 err=0 to=0 trips=0] r1[q=610 err=0 to=0 trips=0]",
 		},
 		{
+			name: "with-step-memo",
+			st: func() Stats {
+				st := baseGoldenStats()
+				st.StepMemoHits, st.StepMemoMisses, st.StepMemoBytes = 141000, 1100, 201196
+				return st
+			},
+			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800 memo=141000/1100\n" +
+				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms",
+		},
+		{
 			name: "with-peer-tier",
 			st: func() Stats {
 				st := baseGoldenStats()

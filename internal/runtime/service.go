@@ -526,8 +526,12 @@ func (in *inst) handle(sh *shard, m *msg) (retire bool) {
 // drive advances the core and submits the launches it selects.
 func (in *inst) drive(sh *shard) (retire bool) {
 	if ctx := in.req.Ctx; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return in.abort(sh, err)
+		// Poll Done, not Err: after its first call Done is one atomic load,
+		// where a cancelCtx's Err takes its mutex on every step.
+		select {
+		case <-ctx.Done():
+			return in.abort(sh, ctx.Err())
+		default:
 		}
 	}
 	launches, status := in.core.Advance()

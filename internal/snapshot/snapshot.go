@@ -302,6 +302,17 @@ func (sn *Snapshot) MustTransition(id core.AttrID, to State) {
 	}
 }
 
+// Revert puts id back in state st with value v, bypassing the automaton
+// and the observer: the undo of a transition, for a caller rolling back
+// updates it made itself (the engine's step memo, when a replayed step
+// leaves its recorded paths).
+func (sn *Snapshot) Revert(id core.AttrID, st State, v value.Value) {
+	if sn.known[id] && !st.Stable() && sn.schema.IsTarget(id) {
+		sn.unstableTargets++
+	}
+	sn.states[id], sn.vals[id], sn.known[id] = st, v, st.Stable()
+}
+
 // Terminal reports whether every target attribute is stable — the paper's
 // terminal-snapshot condition for successful completion.
 func (sn *Snapshot) Terminal() bool { return sn.unstableTargets == 0 }
