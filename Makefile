@@ -63,7 +63,12 @@ bench:
 # the engine's step memo (a random flow, strategy, completion order and
 # failure and abort rates, a Core replaying its step table beside a Core on
 # the plain path: equal states, values, events, launches and Result after
-# every call).
+# every call); and the dispatcher's admission bound (a random limit of 1-8,
+# batching off or on, random interleavings of offers of own and heap
+# flights, completions and cuts over a gated backend, against a sequential
+# model: never more held than the limit, parked flights admitted FIFO,
+# every waiter called exactly once, AdmissionParked equal to the flights
+# that waited).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api
@@ -76,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEvalResultEncode$$' -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOps$$' -fuzztime=5s ./internal/runtime
 	$(GO) test -run='^$$' -fuzz='^FuzzPick$$' -fuzztime=5s ./internal/runtime
+	$(GO) test -run='^$$' -fuzz='^FuzzDispatchAdmission$$' -fuzztime=5s ./internal/runtime
 	$(GO) test -run='^$$' -fuzz='^FuzzStepMemo$$' -fuzztime=5s ./internal/engine
 
 # Deterministic chaos suite: kill/stall/degrade cluster replicas mid-run

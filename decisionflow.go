@@ -221,7 +221,8 @@ type ServiceConfig = rt.Config
 // QueryConfig configures the service's shared query layer: cross-instance
 // batching (size- and deadline-triggered), single-flight deduplication of
 // identical in-flight queries, and the sharded SIEVE+TTL attribute-result
-// cache. The zero value disables the layer.
+// cache. Every launch goes through the layer; the zero value shares and
+// batches nothing.
 type QueryConfig = rt.QueryConfig
 
 // ServeRequest asks a Service to execute one instance; its Done callback

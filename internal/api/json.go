@@ -370,7 +370,9 @@ func scanRequest(body []byte, batch bool, flag string) (ScannedRequest, error) {
 
 // Sources decodes the request's instances in order, handing bind every
 // binding: the instance's index, the source's name (which aliases the
-// body) and its value. A null instance binds nothing.
+// body) and its value. A null instance binds nothing. A repeated source
+// binds each occurrence in turn, so the last one wins; one that is no value
+// (an object, a number out of range) is an error only if it is the last.
 func (r *ScannedRequest) Sources(bind func(i int, name []byte, v value.Value)) error {
 	if r.sources == nil {
 		return nil
@@ -381,19 +383,36 @@ func (r *ScannedRequest) Sources(bind func(i int, name []byte, v value.Value)) e
 			_, err := s.literal()
 			return err
 		}
-		return s.walk(func(name []byte) error {
+		var bad []badSource // sources whose last value so far is no value
+		err := s.walk(func(name []byte) error {
+			start, depth := s.i, s.depth
 			v, err := s.value()
+			if len(bad) > 0 {
+				bad = slices.DeleteFunc(bad, func(b badSource) bool { return b.name == string(name) })
+			}
 			if err != nil {
-				return fmt.Errorf("instance %d: source %q: %w", i, name, err)
+				bad = append(bad, badSource{string(name), fmt.Errorf("instance %d: source %q: %w", i, name, err)})
+				s.i, s.depth = start, depth // the scan checked its syntax: skip it
+				return s.skip()
 			}
 			bind(i, name, v)
 			return nil
 		}, nil)
+		if err == nil && len(bad) > 0 {
+			err = bad[0].err
+		}
+		return err
 	}
 	if !r.batch {
 		return instance()
 	}
 	return s.walk(nil, instance)
+}
+
+// badSource is a source occurrence that is no value, with its error.
+type badSource struct {
+	name string
+	err  error
 }
 
 // --- response decode (client side) ---

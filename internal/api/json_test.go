@@ -182,6 +182,29 @@ func TestBatchRequestDecodeSeeds(t *testing.T) {
 	}
 }
 
+// TestRepeatedSourceLastWins: a repeated source binds its last
+// occurrence, so an earlier one that is no value (a number out of range, an
+// object) does not fail the instance, and a last one that is no value does.
+func TestRepeatedSourceLastWins(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"sources":[{"x":1e999,"x":7}]}`:             "7",
+		`{"sources":[{"x":{"a":[1]},"y":2,"x":[3]}]}`: "[3]",
+		`{"sources":[{"x":7,"x":1e999}]}`:             "",
+		`{"sources":[{"x":[{}],"x":7,"x":{}}]}`:       "",
+	} {
+		_, srcs, err := codecBatchDecode([]byte(body))
+		if want == "" {
+			if err == nil {
+				t.Errorf("%s: accepted as %v, want an error", body, srcs)
+			}
+			continue
+		}
+		if err != nil || srcs[0]["x"].String() != want {
+			t.Errorf("%s: x = %v (err %v), want %s", body, srcs, err, want)
+		}
+	}
+}
+
 // genRequest derives a BatchRequest from fuzz bytes.
 func genRequest(data []byte) BatchRequest {
 	take := func() string {

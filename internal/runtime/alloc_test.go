@@ -15,7 +15,9 @@ import (
 // testing.AllocsPerRun instead of timed. A change that adds a steady-state
 // allocation to one of these paths fails here rather than hiding in a
 // benchmark's run-to-run noise. Instances run one at a time, so no count
-// depends on how the scheduler interleaves them.
+// depends on how the scheduler interleaves them. "Direct" names the zero
+// QueryConfig: nothing shared, nothing batched, every launch riding its
+// instance's own flight through the dispatcher.
 
 // instanceAllocs is serveAllocs of quickstart over 2000 runs.
 func instanceAllocs(t *testing.T, cfg Config, withHandle bool) float64 {
@@ -71,7 +73,7 @@ func checkAllocs(t *testing.T, got float64, limit float64) {
 	}
 }
 
-// TestAllocsDirectInstant pins the direct path over Instant.
+// TestAllocsDirectInstant pins the zero query config over Instant.
 func TestAllocsDirectInstant(t *testing.T) {
 	checkAllocs(t, instanceAllocs(t, Config{Backend: Instant{}}, false), allocsDirectInstant)
 }
@@ -92,7 +94,7 @@ func TestAllocsSubmitCancel(t *testing.T) {
 	}
 }
 
-// TestAllocsDirectCluster pins the direct path over a 2×2 cluster of
+// TestAllocsDirectCluster pins the zero query config over a 2×2 cluster of
 // Instant replicas, where every launch renders and hashes its sharing
 // identity for shard placement.
 func TestAllocsDirectCluster(t *testing.T) {
@@ -104,7 +106,7 @@ func TestAllocsDirectCluster(t *testing.T) {
 }
 
 // TestAllocsPattern64 pins the Table 1 default 64-node pattern over
-// Instant: on the direct path (BenchmarkServePattern64PSE100 and the
+// Instant: on the zero query config (BenchmarkServePattern64PSE100 and the
 // facade's BenchmarkServiceThroughput), and with batching, dedup and the
 // cache on, every launch a cache hit once warm (the facade's
 // BenchmarkServiceThroughputShared).
@@ -125,7 +127,7 @@ func TestAllocsPattern64(t *testing.T) {
 	}
 }
 
-// TestAllocsLatency pins the direct path over a timer backend, the
+// TestAllocsLatency pins the zero query config over a timer backend, the
 // configuration of BenchmarkServeLatencyBackend: each launch arms one
 // timer. Few runs, since each instance waits out real round trips.
 func TestAllocsLatency(t *testing.T) {

@@ -46,10 +46,10 @@ type Query struct {
 // instances: the backend's fixed per-query cost is paid once for the whole
 // batch, trading per-result latency for amortization.
 //
-// The service's completion handler is cheap and non-blocking (it releases
-// an admission token and enqueues the completion for a worker), so
-// backends need not defend against slow callbacks. Implementations must be
-// safe for concurrent Exec calls.
+// The service's completion handler enqueues the completion for a worker
+// and returns the query's admission permit; a permit it hands to a parked
+// query sends that query on after the delivery, so each may re-enter Exec.
+// Implementations must be safe for concurrent Exec calls.
 type Backend interface {
 	Exec(qs []Query, each func(i int, err error))
 }

@@ -383,11 +383,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario, seed int64) {
 	}
 	// Launch-exact billing identity: retries, hedges and failovers all
 	// happen below the query layer, so they must not disturb it.
-	if sc.query.enabled() {
-		if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
-			t.Errorf("billing identity violated: launched=%d backend=%d dedup=%d cache=%d",
-				st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
-		}
+	if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
+		t.Errorf("billing identity violated: launched=%d backend=%d dedup=%d cache=%d",
+			st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
 	}
 	if sc.check != nil {
 		sc.check(t, st)

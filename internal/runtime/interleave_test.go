@@ -225,7 +225,7 @@ func TestAdversarialInterleavings(t *testing.T) {
 					t.Fatalf("work conservation violated: stats work=%d wasted=%d, sums %d/%d",
 						st.Work, st.WastedWork, sumWork.Load(), sumWaste.Load())
 				}
-				if l.query.enabled() && st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
+				if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
 					t.Fatalf("launch conservation violated: %+v", st)
 				}
 			})

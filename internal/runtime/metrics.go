@@ -48,12 +48,15 @@ type Stats struct {
 	// AvgLatency is the mean wall-clock latency.
 	AvgLatency time.Duration
 
-	// Query-layer metrics (all zero when Config.Query is off). Every
-	// launched task is accounted to exactly one of BackendQueries,
-	// DedupHits or CacheHits — the conservation identity
+	// Query-layer metrics. Every launched task is accounted to exactly one
+	// of BackendQueries, DedupHits or CacheHits — the conservation identity
 	// Launched == BackendQueries + DedupHits + CacheHits the property
 	// tests assert. Unlike the Work metrics above, these count at launch
-	// time, so they include queries of instances still in flight.
+	// time, so they include queries of instances still in flight — except
+	// where the layer derives them instead of counting each launch: without
+	// sharing tables (no Dedup, no cache) BackendQueries is Launched, and
+	// without batching Batches and CutSize are BackendQueries. The two
+	// readings agree once the service has drained.
 	BackendQueries uint64 // unique queries handed to the backend
 	Batches        uint64 // backend round trips (≤ BackendQueries)
 	DedupHits      uint64 // launches that shared an in-flight query
@@ -268,19 +271,18 @@ func (sh *shard) recordShadow(r *engine.Result) {
 // Stats merges all shards into an aggregate snapshot.
 func (s *Service) Stats() Stats {
 	st := Stats{Submitted: s.submitted.Load(), Scheduled: s.scheduled.Load(), ShadowSubmitted: s.shadowSubmitted.Load()}
-	if d := s.disp; d != nil {
-		st.BackendQueries = d.backendQueries.Load()
-		st.Batches = d.batches.Load()
-		st.DedupHits = d.dedupHits.Load()
-		st.CacheHits = d.cacheHits.Load()
-		st.CacheMisses = d.cacheMisses.Load()
-		st.CacheEvictions = d.cacheEvictions.Load()
-		st.CutSize, st.CutWindow, st.CutQuiescent = d.cutSize.Load(), d.cutWindow.Load(), d.cutQuiescent.Load()
-		st.AdmissionParked = d.parked.Load()
-		st.PeerForwards = d.peerForwards.Load()
-		st.PeerFallbacks = d.peerFallbacks.Load()
-		st.PeerServed = d.peerServed.Load()
-	}
+	d := s.disp
+	st.BackendQueries = d.backendQueries.Load()
+	st.Batches = d.batches.Load()
+	st.DedupHits = d.dedupHits.Load()
+	st.CacheHits = d.cacheHits.Load()
+	st.CacheMisses = d.cacheMisses.Load()
+	st.CacheEvictions = d.cacheEvictions.Load()
+	st.CutSize, st.CutWindow, st.CutQuiescent = d.cutSize.Load(), d.cutWindow.Load(), d.cutQuiescent.Load()
+	st.AdmissionParked = d.parked.Load()
+	st.PeerForwards = d.peerForwards.Load()
+	st.PeerFallbacks = d.peerFallbacks.Load()
+	st.PeerServed = d.peerServed.Load()
 	if s.cluster != nil {
 		c := s.cluster.ClusterStats()
 		st.Cluster = &c
@@ -337,6 +339,13 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = lat.Summary()
+	// Derived where the dispatcher does not count per launch (see above).
+	if !d.shares() {
+		st.BackendQueries = st.Launched
+	}
+	if d.cfg.BatchSize <= 1 {
+		st.Batches, st.CutSize = st.BackendQueries, st.BackendQueries
+	}
 	return st
 }
 
@@ -361,21 +370,20 @@ func (s *Service) ResetStats() {
 	s.submitted.Store(0)
 	s.shadowSubmitted.Store(0)
 	s.scheduled.Store(0)
-	if d := s.disp; d != nil {
-		d.backendQueries.Store(0)
-		d.batches.Store(0)
-		d.dedupHits.Store(0)
-		d.cacheHits.Store(0)
-		d.cacheMisses.Store(0)
-		d.cacheEvictions.Store(0)
-		d.cutSize.Store(0)
-		d.cutWindow.Store(0)
-		d.cutQuiescent.Store(0)
-		d.parked.Store(0)
-		d.peerForwards.Store(0)
-		d.peerFallbacks.Store(0)
-		d.peerServed.Store(0)
-	}
+	d := s.disp
+	d.backendQueries.Store(0)
+	d.batches.Store(0)
+	d.dedupHits.Store(0)
+	d.cacheHits.Store(0)
+	d.cacheMisses.Store(0)
+	d.cacheEvictions.Store(0)
+	d.cutSize.Store(0)
+	d.cutWindow.Store(0)
+	d.cutQuiescent.Store(0)
+	d.parked.Store(0)
+	d.peerForwards.Store(0)
+	d.peerFallbacks.Store(0)
+	d.peerServed.Store(0)
 	if s.cluster != nil {
 		s.cluster.ResetStats()
 	}

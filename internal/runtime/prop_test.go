@@ -162,27 +162,23 @@ func TestPropertyRandomSchemasAllCombos(t *testing.T) {
 			})
 			defer svc.Close()
 			st := runPropFleet(t, svc, schemas, instPerBinding, seed)
-			if combo.query.enabled() {
-				// Billing exactness under sharing: every launch is exactly one
-				// of backend query / dedup hit / cache hit.
-				if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
-					t.Errorf("launch conservation violated: launched=%d backend=%d dedup=%d cache=%d",
-						st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
-				}
-				if st.BackendQueries > st.Launched {
-					t.Errorf("more backend queries (%d) than launches (%d)", st.BackendQueries, st.Launched)
-				}
-				if combo.query.CacheSize > 0 && st.CacheHits == 0 && !testing.Short() {
-					t.Errorf("cache combo produced zero hits over %d instances", st.Completed)
-				}
-				if combo.query.CacheSize > 0 && st.CacheMisses != st.BackendQueries {
-					// No volatile tasks here, so every backend query was
-					// exactly one cache miss (a miss that dedup-attaches is
-					// not a miss: it never reaches the backend).
-					t.Errorf("cache misses %d != backend queries %d", st.CacheMisses, st.BackendQueries)
-				}
-			} else if st.BackendQueries+st.DedupHits+st.CacheHits+st.Batches != 0 {
-				t.Errorf("query-layer metrics nonzero with layer off: %+v", st)
+			// Billing exactness under sharing: every launch is exactly one
+			// of backend query / dedup hit / cache hit.
+			if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
+				t.Errorf("launch conservation violated: launched=%d backend=%d dedup=%d cache=%d",
+					st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
+			}
+			if st.BackendQueries > st.Launched {
+				t.Errorf("more backend queries (%d) than launches (%d)", st.BackendQueries, st.Launched)
+			}
+			if combo.query.CacheSize > 0 && st.CacheHits == 0 && !testing.Short() {
+				t.Errorf("cache combo produced zero hits over %d instances", st.Completed)
+			}
+			if combo.query.CacheSize > 0 && st.CacheMisses != st.BackendQueries {
+				// No volatile tasks here, so every backend query was
+				// exactly one cache miss (a miss that dedup-attaches is
+				// not a miss: it never reaches the backend).
+				t.Errorf("cache misses %d != backend queries %d", st.CacheMisses, st.BackendQueries)
 			}
 		})
 	}
@@ -246,11 +242,9 @@ func TestPropertyClusterTopologies(t *testing.T) {
 			if st.FailedQueries != 0 {
 				t.Errorf("healthy cluster surfaced %d failed queries", st.FailedQueries)
 			}
-			if tp.query.enabled() {
-				if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
-					t.Errorf("launch conservation violated over cluster: launched=%d backend=%d dedup=%d cache=%d",
-						st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
-				}
+			if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
+				t.Errorf("launch conservation violated over cluster: launched=%d backend=%d dedup=%d cache=%d",
+					st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
 			}
 			// Every shard must have seen traffic on some replica (random
 			// schemas spread identities across the hash space).

@@ -9,9 +9,9 @@ import (
 )
 
 // QueryConfig configures the service's shared query layer — the dispatcher
-// that sits between instance launches and the Backend. All features are
-// off by default (zero value), in which case launches go straight to the
-// Backend exactly as before.
+// that sits between instance launches and the Backend. Every launch goes
+// through the dispatcher; the zero value shares and batches nothing, so each
+// launch is one backend query of its own under the global admission bound.
 //
 // The layer attacks the paper's central cost — external database queries —
 // at fleet scale: when thousands of concurrent instances run the same
@@ -50,11 +50,6 @@ type QueryConfig struct {
 	// CacheShards spreads the cache and the single-flight table over this
 	// many independently locked shards. Defaults to 8.
 	CacheShards int
-}
-
-// enabled reports whether any feature of the layer is on.
-func (q QueryConfig) enabled() bool {
-	return q.BatchSize > 1 || q.Dedup || q.CacheSize > 0
 }
 
 // queryKey is the sharing identity of one foreign-task launch. Two
@@ -140,27 +135,27 @@ func hashPrefix(schema *core.Schema, id core.AttrID) uint64 {
 }
 
 // flight is one query on its way to the backend, with every completion
-// callback waiting on it. dones is guarded by the owning shard's lock for
-// keyed flights; unkeyed flights have exactly one waiter and no sharing.
-// q[0].Hash is the sharing-identity hash (a sequence-spread value for
-// unkeyed flights), used for lock-domain selection here and consistent
-// shard placement in a Cluster; a flight cut alone is handed to the
-// backend as q[:].
+// callback waiting on it. A heap flight (each == nil) is keyed into the
+// sharing tables, its dones guarded by the owning shard's lock; any other
+// is an instance's own (ownFlight). q[0].Hash is the sharing-identity hash
+// (sequence-spread for unkeyed launches on a Cluster), used for lock-domain
+// selection here and consistent shard placement in a Cluster; a flight cut
+// alone is handed to the backend as q[:].
 type flight struct {
 	key   queryKey
-	keyed bool
 	q     [1]Query
-	dones []func(error)
+	dones []func(error)    // a heap flight's waiters
+	done  func(error)      // an own flight's one waiter
+	each  func(int, error) // an own flight's Exec callback
 }
 
-// dispatcher implements the shared query layer. It is created only when
-// QueryConfig.enabled(); a nil dispatcher means launches take the direct
-// path (inst.launch).
+// dispatcher implements the shared query layer; every launch of the service
+// goes through it (inst.launch).
 type dispatcher struct {
 	backend Backend
 	cfg     QueryConfig
 	placed  bool          // the backend places by Query.Hash (a Cluster)
-	seq     atomic.Uint64 // spreads unkeyed flights over shards
+	seq     atomic.Uint64 // spreads unkeyed flights over a Cluster's shards
 	shards  []qshard
 
 	// peer is the optional front-end peer router, consulted before the
@@ -168,14 +163,21 @@ type dispatcher struct {
 	// home node in the fleet.
 	peer atomic.Pointer[peerExecBox]
 
-	// bmu guards the batcher and the global admission bound
-	// (Config.MaxInFlightTasks), owned here at unique-query granularity:
-	// held counts flights pending or on the backend, and one over the bound
-	// parks in waiting (FIFO) until a completion admits it — the launching
-	// worker never blocks. Deduplicated and cached launches take no permit.
+	// The admission bound (Config.MaxInFlightTasks), per unique query: n
+	// counts flights holding a permit (pending or on the backend) plus
+	// those parked, so below the bound admission is one atomic add. Past it
+	// a flight parks in waiting (FIFO); the worker never blocks. A
+	// completion leaving n >= limit hands its permit to the longest-parked
+	// flight, or banks it in permits for one not yet in waiting. Every
+	// launch and completion writes n: the pad keeps it off the cache line
+	// of the read-mostly fields above.
+	_     [64]byte
+	limit int64
+	n     atomic.Int64
+
+	// bmu guards the parked flights, the banked permits and the batcher.
 	bmu     sync.Mutex
-	limit   int
-	held    int
+	permits int
 	waiting []*flight
 	pending []*flight // the forming batch
 	timer   *time.Timer
@@ -186,9 +188,9 @@ type dispatcher struct {
 	// len(pending) so going quiet with nothing pending costs no lock.
 	busy, npending atomic.Int64
 
-	// metrics (see Stats).
-	backendQueries atomic.Uint64 // unique flights handed to the backend
-	batches        atomic.Uint64 // backend round trips
+	// metrics (see Stats, which derives the ones not counted per launch)
+	backendQueries atomic.Uint64 // flights admitted (sharing tables only)
+	batches        atomic.Uint64 // backend round trips (batching only)
 	parked         atomic.Uint64 // flights that waited for a permit
 	dedupHits      atomic.Uint64 // launches attached to an in-flight query
 	cacheHits      atomic.Uint64
@@ -197,7 +199,8 @@ type dispatcher struct {
 	peerForwards   atomic.Uint64 // launches classified at a remote home
 	peerFallbacks  atomic.Uint64 // forwards re-entered locally (peer down)
 	peerServed     atomic.Uint64 // forwarded-in queries served for peers
-	// batches cut, by cause: full, window expired, nobody left to add to it
+	// batches cut (batching only), by cause: full, window expired, nobody
+	// left to add to it
 	cutSize, cutWindow, cutQuiescent atomic.Uint64
 }
 
@@ -219,7 +222,7 @@ func newDispatcher(backend Backend, placed bool, limit int, cfg QueryConfig) *di
 		backend: backend,
 		cfg:     cfg,
 		placed:  placed,
-		limit:   limit,
+		limit:   int64(limit),
 		shards:  make([]qshard, cfg.CacheShards),
 	}
 	perShard := 0
@@ -243,11 +246,17 @@ func (d *dispatcher) shard(hash uint64) *qshard {
 	return &d.shards[hash%uint64(len(d.shards))]
 }
 
+// shares reports whether the layer has sharing tables (the single-flight
+// table or the cache) — what peer routing needs to mean anything.
+func (d *dispatcher) shares() bool {
+	return d.cfg.Dedup || d.cfg.CacheSize > 0
+}
+
 // needsKey reports whether launches should render their sharing identity:
-// for the dedup/cache tables, or — even with both off — for consistent
-// shard placement on a Cluster.
+// for the sharing tables, or — even without them — for consistent shard
+// placement on a Cluster.
 func (d *dispatcher) needsKey() bool {
-	return d.cfg.Dedup || d.cfg.CacheSize > 0 || d.placed
+	return d.shares() || d.placed
 }
 
 // cacheNow is the time cache entries are stamped and judged by: the wall
@@ -259,56 +268,66 @@ func (d *dispatcher) cacheNow() time.Time {
 	return time.Time{}
 }
 
+// ownFlight builds the flight an instance reuses for every launch of one
+// attribute: its one waiter is done, and its Exec callback is bound here,
+// once, so launching it allocates nothing.
+func (d *dispatcher) ownFlight(done func(error)) *flight {
+	f := &flight{done: done}
+	f.each = func(_ int, err error) { d.complete(f, err) }
+	return f
+}
+
 // Submit routes one foreign-task launch of attribute id of schema, whose
-// sharing identity AppendQueryArgs rendered into args; args is read only
-// during the call. done is invoked exactly once when the query's result is
+// sharing identity AppendQueryArgs rendered into args (keyed); args is read
+// only during the call. own is the launcher's idle flight for the attribute
+// (ownFlight); its waiter is invoked exactly once when the result is
 // available — possibly synchronously (cache hit, or an immediate backend).
-// keyed=false launches (volatile tasks) bypass the cache and dedup but
-// still batch.
-func (d *dispatcher) Submit(schema *core.Schema, id core.AttrID, args []byte, keyed bool, cost int, done func(error)) {
-	if keyed && d.needsKey() {
-		hash := hashIdentity(schema, id, args)
-		// Peer tier first, local tables second: a query homed on another
-		// node is NOT checked against the local cache or single-flight
-		// table — every launch of an identity is classified at its one
-		// home, which is what makes the fleet-wide hit rate match a
-		// single node's. The router owns accepted queries end to end; a
-		// forward the home could not serve re-enters the local path below.
-		if box := d.peer.Load(); box != nil {
-			q := PeerQuery{Schema: schema, Attr: id, Args: string(args), Cost: cost, Hash: hash}
-			if box.p.SubmitPeer(q, func(err error, remote bool) {
-				if remote {
-					d.peerForwards.Add(1)
-					done(err)
-					return
-				}
-				d.peerFallbacks.Add(1)
-				d.hold() // the router's goroutine, not the launching owner's
-				d.submitKeyed(schema, id, []byte(q.Args), hash, cost, done)
-				d.release()
-			}) {
-				return
-			}
-		}
-		d.submitKeyed(schema, id, args, hash, cost, done)
+// Unkeyed launches (volatile tasks) bypass the cache and dedup but still batch.
+func (d *dispatcher) Submit(schema *core.Schema, id core.AttrID, args []byte, keyed bool, cost int, own *flight) {
+	var hash uint64
+	if keyed {
+		hash = hashIdentity(schema, id, args)
+	} else if d.placed {
+		hash = splitmix64(d.seq.Add(1))
+	}
+	if !keyed || !d.shares() {
+		own.q[0] = Query{Hash: hash, Cost: cost}
+		d.enqueue(own)
 		return
 	}
-	d.enqueue(&flight{q: [1]Query{{Hash: splitmix64(d.seq.Add(1)), Cost: cost}}, dones: []func(error){done}})
+	done := own.done
+	// Peer tier first, local tables second: a query homed on another node
+	// is NOT checked against the local cache or single-flight table —
+	// every launch of an identity is classified at its one home, which is
+	// what makes the fleet-wide hit rate match a single node's. The router
+	// owns accepted queries end to end; a forward the home could not serve
+	// re-enters the local path below.
+	if box := d.peer.Load(); box != nil {
+		q := PeerQuery{Schema: schema, Attr: id, Args: string(args), Cost: cost, Hash: hash}
+		if box.p.SubmitPeer(q, func(err error, remote bool) {
+			if remote {
+				d.peerForwards.Add(1)
+				done(err)
+				return
+			}
+			d.peerFallbacks.Add(1)
+			d.hold() // the router's goroutine, not the launching owner's
+			d.submitKeyed(schema, id, []byte(q.Args), hash, cost, done)
+			d.release()
+		}) {
+			return
+		}
+	}
+	d.submitKeyed(schema, id, args, hash, cost, done)
 }
 
 // submitKeyed is the local keyed path: cache lookup, single-flight attach,
 // or a fresh flight. It is entered by local launches whose home is this
 // node (or whose home could not serve them) and by queries forwarded in
 // from peers — the latter never re-consult the peer router, so forwards
-// cannot loop. args is read only during the call.
+// cannot loop. The layer has sharing tables. args is read only during the
+// call.
 func (d *dispatcher) submitKeyed(schema *core.Schema, id core.AttrID, args []byte, hash uint64, cost int, done func(error)) {
-	if !d.cfg.Dedup && d.cfg.CacheSize == 0 {
-		// Keyed purely for placement (batching-only layer over a
-		// Cluster): no sharing tables to consult, and exactly one
-		// waiter — but the identity hash still pins the shard.
-		d.enqueue(&flight{q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}})
-		return
-	}
 	sh := d.shard(hash)
 	sh.mu.Lock()
 	if d.cfg.CacheSize > 0 && sh.cache.get(schema, id, args, d.cacheNow()) {
@@ -327,7 +346,7 @@ func (d *dispatcher) submitKeyed(schema *core.Schema, id core.AttrID, args []byt
 	}
 	// The identity's key string is built here, once per flight; the cache
 	// entry the flight primes shares it.
-	f := &flight{key: queryKey{schema, id, string(args)}, keyed: true,
+	f := &flight{key: queryKey{schema, id, string(args)},
 		q: [1]Query{{Hash: hash, Cost: cost}}, dones: []func(error){done}}
 	if d.cfg.Dedup {
 		sh.inflight[f.key] = f
@@ -341,41 +360,57 @@ func (d *dispatcher) submitKeyed(schema *core.Schema, id core.AttrID, args []byt
 	d.enqueue(f)
 }
 
-// hold and release move the busy gauge — no-ops unless batching is on (a
-// nil dispatcher included), so the direct path pays a nil check. The release
-// that takes it to zero cuts what is pending: nobody is left to add to it.
+// hold and release move the busy gauge — no-ops unless batching is on. The
+// release that takes it to zero cuts what is pending: nobody is left to add
+// to it.
 func (d *dispatcher) hold() {
-	if d != nil && d.cfg.BatchSize > 1 {
+	if d.cfg.BatchSize > 1 {
 		d.busy.Add(1)
 	}
 }
 
 func (d *dispatcher) release() {
-	if d != nil && d.cfg.BatchSize > 1 && d.busy.Add(-1) == 0 && d.npending.Load() > 0 {
+	if d.cfg.BatchSize > 1 && d.busy.Add(-1) == 0 && d.npending.Load() > 0 {
 		d.cut(&d.cutQuiescent)
 	}
 }
 
-// enqueue hands one unique query to the batcher, or parks it when the
-// admission bound is reached; it never blocks on admission.
+// enqueue offers one unique query for a permit: below the bound it goes on
+// at once, past it it parks. It never blocks on admission.
 func (d *dispatcher) enqueue(f *flight) {
-	d.bmu.Lock()
-	if d.held == d.limit {
-		d.waiting = append(d.waiting, f)
+	if d.n.Add(1) > d.limit {
+		d.bmu.Lock()
+		if d.permits == 0 {
+			d.waiting = append(d.waiting, f)
+			d.bmu.Unlock()
+			d.parked.Add(1)
+			return
+		}
+		d.permits-- // a completion beat f here and left its permit
 		d.bmu.Unlock()
-		d.parked.Add(1)
+	}
+	d.send(f)
+}
+
+// send hands an admitted flight to the batcher, or with batching off
+// straight to the backend.
+func (d *dispatcher) send(f *flight) {
+	if d.shares() { // else a backend query is simply a launch (see Stats)
+		d.backendQueries.Add(1)
+	}
+	if d.cfg.BatchSize <= 1 {
+		d.exec(f)
 		return
 	}
-	batch := d.admit(f)
+	d.bmu.Lock()
+	batch := d.add(f)
 	d.bmu.Unlock()
 	d.flush(batch, &d.cutSize)
 }
 
-// admit takes f's permit and adds it to the forming batch, returning the
-// batch if f filled it (always, with batching off). Caller holds bmu.
-func (d *dispatcher) admit(f *flight) []*flight {
-	d.held++
-	d.backendQueries.Add(1)
+// add puts an admitted flight into the forming batch, returning the batch
+// if f filled it. Caller holds bmu.
+func (d *dispatcher) add(f *flight) []*flight {
 	d.pending = append(d.pending, f)
 	if len(d.pending) >= d.cfg.BatchSize {
 		return d.take()
@@ -425,8 +460,7 @@ func (d *dispatcher) flush(batch []*flight, cause *atomic.Uint64) {
 	cause.Add(1)
 	d.batches.Add(1)
 	if len(batch) == 1 {
-		f := batch[0]
-		d.backend.Exec(f.q[:], func(_ int, err error) { d.complete(f, err) })
+		d.exec(batch[0])
 		return
 	}
 	qs := make([]Query, len(batch))
@@ -436,27 +470,44 @@ func (d *dispatcher) flush(batch []*flight, cause *atomic.Uint64) {
 	d.backend.Exec(qs, func(i int, err error) { d.complete(batch[i], err) })
 }
 
+// exec hands one flight to the backend as a round trip of its own. Only a
+// heap flight needs a callback built for it.
+func (d *dispatcher) exec(f *flight) {
+	each := f.each
+	if each == nil {
+		each = func(_ int, err error) { d.complete(f, err) }
+	}
+	d.backend.Exec(f.q[:], each)
+}
+
 // complete fans a finished flight out to its waiters, retiring it from the
 // single-flight table and priming the cache. It runs on backend goroutines;
 // each waiter is the service's cheap non-blocking completion handler. A
 // failed flight (err non-nil, every cluster retry exhausted) shares its
 // fate with all deduplicated waiters — standard single-flight semantics —
 // and is never cached, so the next identical launch retries the backend.
+// An own flight may be launched again once its waiter has run: nothing
+// here touches f after that.
 func (d *dispatcher) complete(f *flight, err error) {
-	// Return the permit first: it admits the longest-parked flight. A batch
-	// that fills is flushed only after f's own waiters are delivered —
-	// flush may block (see there), and delivery must never wait on it.
-	d.bmu.Lock()
-	d.held--
-	var batch []*flight
-	if len(d.waiting) > 0 {
-		batch = d.admit(d.waiting[0])
-		d.waiting[0] = nil
-		d.waiting = d.waiting[1:]
+	// Return the permit first: past the bound it goes to the longest-parked
+	// flight. That flight is sent on only after f's own waiters are
+	// delivered — a send may block (see flush), and delivery must never
+	// wait on it.
+	var next *flight
+	if d.n.Add(-1) >= d.limit {
+		d.bmu.Lock()
+		if len(d.waiting) == 0 {
+			d.permits++ // for the flight on its way to waiting
+		} else {
+			next = d.waiting[0]
+			d.waiting[0] = nil
+			d.waiting = d.waiting[1:]
+		}
+		d.bmu.Unlock()
 	}
-	d.bmu.Unlock()
-	var dones []func(error)
-	if f.keyed {
+	if f.each != nil {
+		f.done(err)
+	} else {
 		// f.dones of a keyed flight is only readable under the shard lock:
 		// dedup waiters append to it until the retirement below.
 		sh := d.shard(f.q[0].Hash)
@@ -467,15 +518,15 @@ func (d *dispatcher) complete(f *flight, err error) {
 		if d.cfg.CacheSize > 0 && err == nil && sh.cache.put(f.key, d.cacheNow()) {
 			d.cacheEvictions.Add(1)
 		}
-		dones = f.dones
+		dones := f.dones
 		sh.mu.Unlock()
-	} else {
-		dones = f.dones // single waiter, never shared
+		for _, fn := range dones {
+			fn(err)
+		}
 	}
-	for _, fn := range dones {
-		fn(err)
+	if next != nil {
+		d.send(next)
 	}
-	d.flush(batch, &d.cutSize)
 }
 
 // --- sharded SIEVE+TTL cache ---

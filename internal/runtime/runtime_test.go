@@ -187,16 +187,18 @@ func TestSoakConcurrentInstances(t *testing.T) {
 }
 
 // countingBackend records the peak number of concurrently executing
-// queries.
+// queries and the total it executed.
 type countingBackend struct {
 	mu      sync.Mutex
 	current int
 	peak    int
+	total   int
 }
 
 func (c *countingBackend) Exec(qs []Query, each func(int, error)) {
 	n := len(qs)
 	c.mu.Lock()
+	c.total += n
 	c.current += n
 	if c.current > c.peak {
 		c.peak = c.current
@@ -240,6 +242,47 @@ func TestGlobalAdmissionBound(t *testing.T) {
 	}
 	if cb.peak == 0 {
 		t.Fatal("backend never saw a task")
+	}
+}
+
+// TestZeroConfigCountsFromBackend checks the query-layer counters that a
+// service without sharing tables or batching derives instead of counting per
+// launch (see Stats) against the backend's own count: once drained,
+// BackendQueries, Launched, Batches and CutSize all equal the queries the
+// backend executed, on the Table 1 pattern and on quickstart.
+func TestZeroConfigCountsFromBackend(t *testing.T) {
+	g := gen.Generate(gen.Default())
+	qs, qsSources := quickstart(t)
+	for _, tc := range []struct {
+		name    string
+		schema  *core.Schema
+		sources map[string]value.Value
+	}{
+		{"pattern", g.Schema, g.SourceValues()},
+		{"quickstart", qs, qsSources},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cb := &countingBackend{}
+			svc := New(Config{Backend: cb})
+			const n = 100
+			for range n {
+				if err := svc.Submit(Request{Schema: tc.schema, Sources: tc.sources, Strategy: engine.MustParseStrategy("PSE100")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc.Close() // drained: every launch has reached the backend and come back
+			st := svc.Stats()
+			cb.mu.Lock()
+			total := uint64(cb.total)
+			cb.mu.Unlock()
+			if st.Completed != n || total == 0 {
+				t.Fatalf("completed %d of %d instances, backend executed %d queries", st.Completed, n, total)
+			}
+			if st.BackendQueries != total || st.Launched != total || st.Batches != total || st.CutSize != total {
+				t.Fatalf("backend executed %d queries; stats backend=%d launched=%d batches=%d cut-size=%d",
+					total, st.BackendQueries, st.Launched, st.Batches, st.CutSize)
+			}
+		})
 	}
 }
 

@@ -66,17 +66,15 @@ type Config struct {
 	// Defaults to GOMAXPROCS.
 	Workers int
 	// MaxInFlightTasks bounds the database tasks in flight across all
-	// instances (global admission control). On the direct path a launch
-	// beyond the bound blocks its worker until a completion. With the
-	// query layer enabled the bound applies to unique backend queries —
-	// deduplicated and cached launches put no task on the database and
-	// consume no admission — and a query beyond it parks in the
-	// dispatcher while the worker goes on. Defaults to 16× Workers.
+	// instances (global admission control). The bound applies to unique
+	// backend queries — deduplicated and cached launches put no task on the
+	// database and consume no admission — and a query beyond it parks in
+	// the dispatcher while the worker goes on. Defaults to 16× Workers.
 	MaxInFlightTasks int
 	// Query configures the shared query layer between instances and the
 	// Backend: cross-instance batching, single-flight deduplication of
-	// identical queries, and the attribute-result cache. The zero value
-	// disables the layer entirely (launches go straight to the Backend).
+	// identical queries, and the attribute-result cache. Every launch goes
+	// through the layer; the zero value shares and batches nothing.
 	Query QueryConfig
 }
 
@@ -95,11 +93,10 @@ type Config struct {
 type Service struct {
 	cfg     Config
 	runq    runQueue
-	adm     *admission // global bound on database tasks in flight (direct path)
 	pool    sync.Pool
 	shards  []shard
-	disp    *dispatcher    // shared query layer; nil when Config.Query is off
-	unhold  func()         // disp.release, bound once for Hold (nil-safe)
+	disp    *dispatcher    // the query layer every launch goes through
+	unhold  func()         // disp.release, bound once for Hold
 	active  sync.WaitGroup // one count per unretired instance
 	workers sync.WaitGroup
 
@@ -107,8 +104,7 @@ type Service struct {
 	// reads Query.Hash, so only then does a launch without sharing tables
 	// to consult render its sharing identity (for consistent shard
 	// placement) — and the source of Stats.Cluster.
-	cluster  *Cluster
-	routeSeq atomic.Uint64 // spreads unroutable direct launches over shards
+	cluster *Cluster
 
 	// closeMu makes Submit and Close safe to race: submits hold the read
 	// side across the accept-and-enqueue step, so once Close's write lock
@@ -137,15 +133,9 @@ func New(cfg Config) *Service {
 	if cfg.MaxInFlightTasks <= 0 {
 		cfg.MaxInFlightTasks = 16 * cfg.Workers
 	}
-	s := &Service{
-		cfg:    cfg,
-		adm:    newAdmission(cfg.MaxInFlightTasks),
-		shards: make([]shard, cfg.Workers),
-	}
+	s := &Service{cfg: cfg, shards: make([]shard, cfg.Workers)}
 	s.cluster, _ = cfg.Backend.(*Cluster)
-	if cfg.Query.enabled() {
-		s.disp = newDispatcher(cfg.Backend, s.cluster != nil, cfg.MaxInFlightTasks, cfg.Query)
-	}
+	s.disp = newDispatcher(cfg.Backend, s.cluster != nil, cfg.MaxInFlightTasks, cfg.Query)
 	s.unhold = s.disp.release
 	s.runq.cond.L = &s.runq.mu
 	s.pool.New = func() any { return &inst{svc: s} }
@@ -274,7 +264,7 @@ var ErrNoQueryLayer = errors.New("runtime: peer routing needs the query layer's 
 // installed after construction because the router (one layer up, in the
 // server) needs the serving stack that needs this service first.
 func (s *Service) InstallPeerRouter(p PeerExec) error {
-	if s.disp == nil || (!s.disp.cfg.Dedup && s.disp.cfg.CacheSize == 0) {
+	if !s.disp.shares() {
 		return ErrNoQueryLayer
 	}
 	s.disp.peer.Store(&peerExecBox{p: p})
@@ -294,7 +284,7 @@ func (s *Service) InstallPeerRouter(p PeerExec) error {
 // args is read only during the call.
 func (s *Service) ServePeerQuery(schema *core.Schema, id core.AttrID, args []byte, cost int, done func(error)) error {
 	d := s.disp
-	if d == nil || (!d.cfg.Dedup && d.cfg.CacheSize == 0) {
+	if !d.shares() {
 		return ErrNoQueryLayer
 	}
 	s.closeMu.RLock()
@@ -343,22 +333,13 @@ func (s *Service) worker(sh *shard) {
 	}
 }
 
-// taskDone is the backend completion path: release the admission permit and
-// post the completion to the instance. It must stay cheap and non-blocking
-// — it runs on backend goroutines (timers, pacers) and never waits on the
-// instance's owner. A non-nil err means the query terminally failed (every
-// cluster retry exhausted): the task completes as failed, delivering ⟂.
+// taskDone is the completion path of one launch: post it to the instance.
+// Permits belong to the dispatcher's unique queries, not to launches, so
+// this only delivers. It must stay cheap and non-blocking — it runs on
+// backend goroutines (timers, pacers) and never waits on the instance's
+// owner. A non-nil err means the query terminally failed (every cluster
+// retry exhausted): the task completes as failed, delivering ⟂.
 func (s *Service) taskDone(in *inst, id core.AttrID, err error) {
-	s.adm.release()
-	s.taskDoneShared(in, id, err)
-}
-
-// taskDoneShared is the completion path for launches routed through the
-// query layer: admission permits there belong to unique backend queries
-// (acquired and released by the dispatcher), not to per-instance launches
-// — a deduplicated or cached launch puts no new task on the database, so
-// it must not consume database admission. This only delivers.
-func (s *Service) taskDoneShared(in *inst, id core.AttrID, err error) {
 	kind := msgDone
 	if err != nil {
 		kind = msgFailed
@@ -415,13 +396,9 @@ type inst struct {
 	res         engine.Result
 	outstanding int // backend tasks submitted but not yet completed
 	finalized   bool
-	// doneFns (query layer) and execFns (direct path) cache one completion
-	// closure per attribute so steady-state launches allocate nothing; a
-	// service uses one of the two.
-	doneFns []func(error)
-	execFns []func(int, error)
-	// q is the direct path's Exec argument; backends do not retain it.
-	q [1]Query
+	// flights holds the instance's own flight per attribute (built on its
+	// first launch), so steady-state launches allocate nothing.
+	flights []*flight
 	// keyBuf is the scratch buffer for rendering query sharing identities.
 	keyBuf []byte
 }
@@ -546,41 +523,18 @@ func (in *inst) drive(sh *shard) (retire bool) {
 	return false
 }
 
-// launch routes one booked task to the backend — through the shared query
-// layer when configured. Admission control differs by path. The direct path
-// acquires a permit per launch and may block on it under overload, which
-// stalls only this owner: completion delivery never waits on it (see
-// Backend docs). The query layer takes one per unique backend query
-// (deduplicated and cached launches hit no database, so they bypass
-// admission) and never blocks the owner: a query over the bound parks in
-// the dispatcher and the instance awaits its completion like any other.
+// launch routes one booked task through the query layer to the backend.
+// Admission is per unique backend query (deduplicated and cached launches
+// hit no database, so they bypass it) and never blocks the owner: a query
+// over the bound parks in the dispatcher and the instance awaits its
+// completion like any other.
 func (in *inst) launch(id core.AttrID, cost int) {
-	svc := in.svc
-	d := svc.disp
-	if d == nil {
-		svc.adm.acquire() // global admission; blocks under overload
-		var h uint64
-		if svc.cluster != nil {
-			// Sharded backend: place by sharing identity so the same
-			// logical query consistently lands on the same shard; volatile
-			// (unroutable) launches spread by sequence instead.
-			var keyed bool
-			in.keyBuf, keyed = in.core.AppendQueryArgs(id, in.keyBuf[:0])
-			if keyed {
-				h = hashIdentity(in.req.Schema, id, in.keyBuf)
-			} else {
-				h = splitmix64(svc.routeSeq.Add(1))
-			}
-		}
-		in.q[0] = Query{Hash: h, Cost: cost}
-		svc.cfg.Backend.Exec(in.q[:], in.execFn(id))
-		return
-	}
+	d := in.svc.disp
 	keyed := false
 	if d.needsKey() {
 		in.keyBuf, keyed = in.core.AppendQueryArgs(id, in.keyBuf[:0])
 	}
-	d.Submit(in.req.Schema, id, in.keyBuf, keyed, cost, in.doneFn(id))
+	d.Submit(in.req.Schema, id, in.keyBuf, keyed, cost, in.flight(id))
 }
 
 // abort terminates the instance early on cancellation: waste accounting is
@@ -633,33 +587,19 @@ func (in *inst) retire() {
 	svc.active.Done()
 }
 
-// doneFn returns the query layer's cached completion closure for the
-// attribute.
-func (in *inst) doneFn(id core.AttrID) func(error) {
-	in.doneFns = growFns(in.doneFns, id, in.req.Schema)
-	if in.doneFns[id] == nil {
-		in.doneFns[id] = func(err error) { in.svc.taskDoneShared(in, id, err) }
+// flight returns the instance's own flight for the attribute, whose waiter
+// posts the completion here. It is idle whenever the owner launches: an
+// occupancy launches an attribute once and retires with nothing outstanding.
+func (in *inst) flight(id core.AttrID) *flight {
+	if int(id) >= len(in.flights) {
+		grown := make([]*flight, in.req.Schema.NumAttrs())
+		copy(grown, in.flights)
+		in.flights = grown
 	}
-	return in.doneFns[id]
-}
-
-// execFn returns the direct path's cached Exec callback for the attribute.
-func (in *inst) execFn(id core.AttrID) func(int, error) {
-	in.execFns = growFns(in.execFns, id, in.req.Schema)
-	if in.execFns[id] == nil {
-		in.execFns[id] = func(_ int, err error) { in.svc.taskDone(in, id, err) }
+	if in.flights[id] == nil {
+		in.flights[id] = in.svc.disp.ownFlight(func(err error) { in.svc.taskDone(in, id, err) })
 	}
-	return in.execFns[id]
-}
-
-// growFns sizes a per-attribute closure cache to cover id.
-func growFns[F any](fns []F, id core.AttrID, schema *core.Schema) []F {
-	if int(id) < len(fns) {
-		return fns
-	}
-	grown := make([]F, schema.NumAttrs())
-	copy(grown, fns)
-	return grown
+	return in.flights[id]
 }
 
 // --- run queue ---
