@@ -68,7 +68,8 @@ bench:
 # flights, completions and cuts over a gated backend, against a sequential
 # model: never more held than the limit, parked flights admitted FIFO,
 # every waiter called exactly once, AdmissionParked equal to the flights
-# that waited).
+# that waited, the oldest-parked stamp the FIFO head's and zero exactly
+# when nothing is parked).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEval3$$' -fuzztime=10s ./internal/expr
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryJSONDifferential$$' -fuzztime=5s ./internal/api

@@ -4,9 +4,11 @@
 // dfbin binary protocol on -binaddr, through one shared admission,
 // tenant, and drain core. Its backend / query-layer / cluster flags come
 // from internal/cliconf (including -config file defaults), beside the
-// front end's tenant and overload knobs. It shuts down gracefully on
-// SIGTERM/SIGINT: stop accepting on both listeners, flush every in-flight
-// instance to its caller, print the final stats, exit.
+// front end's tenant limits and its one overload knob, -shed-delay: shed
+// while the oldest instance waiting for a worker or backend query waiting
+// for an admission permit has waited longer than that. It shuts down
+// gracefully on SIGTERM/SIGINT: stop accepting on both listeners, flush
+// every in-flight instance to its caller, print the final stats, exit.
 //
 // Examples:
 //
@@ -53,8 +55,7 @@ func main() {
 		tenantRate   = fs.Float64("tenant-rate", 0, "per-tenant token-bucket rate limit in inst/s (0 = unlimited)")
 		tenantBurst  = fs.Int("tenant-burst", 0, "per-tenant token-bucket burst (0 = max(rate, 1))")
 		tenantFlight = fs.Int("tenant-inflight", 0, "per-tenant in-flight instance quota (0 = unlimited)")
-		shedQueue    = fs.Int("shed-queue", 0, "shed when more than this many runnable instances wait for a worker (0 = 4096, negative disables)")
-		shedP99      = fs.Duration("shed-p99", 0, "shed while the recent p99 exceeds this watermark (0 = off)")
+		shedDelay    = fs.Duration("shed-delay", 0, "shed while the oldest queued instance or parked backend query has waited longer than this (0 = 100ms, negative disables)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "graceful shutdown: max wait for in-flight instances")
 		dataDir      = fs.String("datadir", "", "durable schema registry directory: WAL + snapshot, replayed on boot (empty = in-memory only)")
 		snapEvery    = fs.Int("snapevery", 0, "WAL appends between registry snapshot rewrites (0 = 256; needs -datadir)")
@@ -97,8 +98,7 @@ func main() {
 			Burst:       *tenantBurst,
 			MaxInFlight: *tenantFlight,
 		},
-		ShedQueueDepth:     *shedQueue,
-		ShedP99:            *shedP99,
+		ShedDelay:          *shedDelay,
 		DataDir:            *dataDir,
 		SnapshotEvery:      *snapEvery,
 		CaptureDir:         capf.Dir,

@@ -312,7 +312,7 @@ type TenantStats = rt.TenantStats
 // --- Network serving ---
 
 // ServerConfig configures a DecisionServer: the Service to front,
-// per-tenant admission limits, and the global overload watermarks.
+// per-tenant admission limits, and the global queueing-delay shed bound.
 type ServerConfig = server.Config
 
 // TenantLimits bounds each tenant's admission at the network front end:

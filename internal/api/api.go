@@ -342,7 +342,7 @@ type TenantAdmission struct {
 	// Accepted counts requests admitted to the runtime.
 	Accepted uint64 `json:"accepted"`
 	// ShedRate / ShedQuota / ShedQueue count 429s by cause: token-bucket
-	// rate limit, in-flight quota, global queue-depth watermark.
+	// rate limit, in-flight quota, global queueing-delay bound (ShedDelay).
 	ShedRate  uint64 `json:"shed_rate,omitempty"`
 	ShedQuota uint64 `json:"shed_quota,omitempty"`
 	ShedQueue uint64 `json:"shed_queue,omitempty"`

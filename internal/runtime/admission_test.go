@@ -188,7 +188,9 @@ func TestAdmissionParksAtLimit(t *testing.T) {
 // sent them (parked queries are admitted FIFO), no more than the limit
 // between the batch and the backend, and every waiter must have run exactly
 // once per completed query; after a drain AdmissionParked must equal the
-// queries that waited.
+// queries that waited. The dispatcher's oldest-parked stamp must be zero
+// exactly when the model parks nothing, and otherwise fall within the offer
+// of the model's longest-parked query.
 func FuzzDispatchAdmission(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{0, 0, 0, 1, 1, 2, 3, 3, 3})
 	f.Add(uint8(1), uint8(2), []byte{0, 1, 0, 1, 0, 4, 2, 5, 2, 2, 6})
@@ -217,6 +219,7 @@ func FuzzDispatchAdmission(f *testing.F) {
 			done    = map[int]bool{}
 			nparked uint64
 			args    []byte
+			offered [][2]time.Time // when each query's offer began and returned
 		)
 		send := func(q int) {
 			if batch == 0 {
@@ -248,7 +251,9 @@ func FuzzDispatchAdmission(f *testing.F) {
 				nparked++
 			}
 			args = fmt.Appendf(args[:0], "%d", q)
+			begin := time.Now()
 			d.Submit(s, 1, args, heap, q, own)
+			offered = append(offered, [2]time.Time{begin, time.Now()})
 		}
 		sentQueries := func() (qs []int) {
 			for _, tr := range b.trips {
@@ -296,6 +301,16 @@ func FuzzDispatchAdmission(f *testing.F) {
 			}
 			if n := d.n.Load(); n != int64(held+len(waiting)) {
 				t.Fatalf("step %d: n=%d, model holds %d and parks %d", step, n, held, len(waiting))
+			}
+			at := d.oldestParked()
+			if at.IsZero() != (len(waiting) == 0) {
+				t.Fatalf("step %d: oldest-parked stamp %v with %d parked", step, at, len(waiting))
+			}
+			if len(waiting) > 0 {
+				if span := offered[waiting[0]]; at.Before(span[0]) || at.After(span[1]) {
+					t.Fatalf("step %d: oldest-parked stamp %v outside the offer of query %d (%v to %v): not the longest-parked",
+						step, at, waiting[0], span[0], span[1])
+				}
 			}
 			for q, c := range calls {
 				want := 0

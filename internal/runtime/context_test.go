@@ -240,31 +240,6 @@ func TestLatencyMemoryFixed(t *testing.T) {
 	}
 }
 
-// TestLatencyIntervalIgnoresStaleShards: the difference of two latency
-// readings holds exactly the completions between them, whichever shards
-// older samples sit on — here a spike on shard 1 must not colour an
-// interval whose completions were all fast on shard 0.
-func TestLatencyIntervalIgnoresStaleShards(t *testing.T) {
-	svc := New(Config{Workers: 2})
-	defer svc.Close()
-	ok := &engine.Result{}
-	for range 100 {
-		svc.shards[1].record(ok, 100*time.Millisecond, "")
-	}
-	before := svc.Latency()
-	for range 10 {
-		svc.shards[0].record(ok, 100*time.Microsecond, "")
-	}
-	interval := svc.Latency()
-	interval.Sub(&before)
-	if n := interval.Count(); n != 10 {
-		t.Fatalf("interval holds %d completions, want 10", n)
-	}
-	if p99 := interval.Quantile(0.99); p99 > time.Millisecond {
-		t.Fatalf("interval p99 = %v, want ≈100µs: stale samples leaked in", p99)
-	}
-}
-
 // TestCloseDrainsAcceptedInstances pins the Close drain contract: Close
 // after Submit completes every accepted instance (each Done callback fires
 // before Close returns), later Submits fail with ErrClosed — a typed
@@ -374,7 +349,8 @@ func TestSubmitCancelWithoutCtx(t *testing.T) {
 
 // TestDoContextCancelStress races many cancellations against completions
 // and instance-pool reuse; run with -race this exercises the generation
-// guard on cancel nudges.
+// guard on cancel nudges, and the run-queue and parked-flight stamps that
+// QueueDelay reads meanwhile.
 func TestDoContextCancelStress(t *testing.T) {
 	s, sources := quickstart(t)
 	svc := New(Config{Backend: &Latency{Base: 100 * time.Microsecond}})
@@ -401,5 +377,22 @@ func TestDoContextCancelStress(t *testing.T) {
 			}
 		}(g)
 	}
+	stop, reader := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(reader)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if d := svc.QueueDelay(); d < 0 || d > time.Minute {
+				t.Errorf("queueing delay %v", d)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-reader
 }

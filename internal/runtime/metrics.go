@@ -50,13 +50,13 @@ type Stats struct {
 
 	// Query-layer metrics. Every launched task is accounted to exactly one
 	// of BackendQueries, DedupHits or CacheHits — the conservation identity
-	// Launched == BackendQueries + DedupHits + CacheHits the property
-	// tests assert. Unlike the Work metrics above, these count at launch
-	// time, so they include queries of instances still in flight — except
-	// where the layer derives them instead of counting each launch: without
-	// sharing tables (no Dedup, no cache) BackendQueries is Launched, and
-	// without batching Batches and CutSize are BackendQueries. The two
-	// readings agree once the service has drained.
+	// Launched + ShadowLaunched == BackendQueries + DedupHits + CacheHits
+	// the property tests assert. Unlike the Work metrics above, these count
+	// at launch time, so they include queries of instances still in flight
+	// — except where the layer derives them instead of counting each
+	// launch: without sharing tables (no Dedup, no cache) BackendQueries is
+	// Launched + ShadowLaunched, and without batching Batches and CutSize
+	// are BackendQueries. The two readings agree once drained.
 	BackendQueries uint64 // unique queries handed to the backend
 	Batches        uint64 // backend round trips (≤ BackendQueries)
 	DedupHits      uint64 // launches that shared an in-flight query
@@ -74,7 +74,7 @@ type Stats struct {
 	// the three buckets above; a query forwarded in from a peer counts in
 	// PeerServed AND exactly one of the buckets above. The per-node
 	// conservation identity therefore becomes
-	// Launched == BackendQueries + DedupHits + CacheHits - PeerServed + PeerForwards,
+	// Launched + ShadowLaunched == BackendQueries + DedupHits + CacheHits - PeerServed + PeerForwards,
 	// and summing over the fleet restores the launch-exact identity
 	// (forwards and serves cancel pairwise).
 	PeerForwards  uint64 // launches classified at a remote home node
@@ -93,13 +93,16 @@ type Stats struct {
 	FailedQueries uint64
 	Cluster       *ClusterStats
 
-	// ShadowSubmitted / ShadowCompleted / ShadowErrors count Request.Shadow
-	// instances (the server's shadow-evaluation background work). They are
-	// excluded from every metric above: shadow load must not move the
-	// latency percentiles, completion counts, or the overload sampler.
+	// ShadowSubmitted / ShadowCompleted / ShadowErrors / ShadowLaunched
+	// count Request.Shadow instances (the server's shadow-evaluation
+	// background work) and the tasks they launched. Shadow instances are
+	// excluded from every metric above except the query layer's, whose
+	// queries reach the database like any other: shadow load must not move
+	// the latency percentiles or the completion counts.
 	ShadowSubmitted uint64
 	ShadowCompleted uint64
 	ShadowErrors    uint64
+	ShadowLaunched  uint64
 
 	// Tenants breaks completions down by Request.Tenant, for requests that
 	// carried one (the network front end tags every instance with its
@@ -174,8 +177,8 @@ func (st Stats) writeLayers(b *strings.Builder) {
 			st.PeerForwards, st.PeerFallbacks, st.PeerServed)
 	}
 	if st.ShadowSubmitted > 0 {
-		fmt.Fprintf(b, "\nshadow: submitted=%d completed=%d errors=%d",
-			st.ShadowSubmitted, st.ShadowCompleted, st.ShadowErrors)
+		fmt.Fprintf(b, "\nshadow: submitted=%d completed=%d errors=%d launched=%d",
+			st.ShadowSubmitted, st.ShadowCompleted, st.ShadowErrors, st.ShadowLaunched)
 	}
 	if c := st.Cluster; c != nil {
 		fmt.Fprintf(b,
@@ -198,10 +201,11 @@ type shard struct {
 	mu        sync.Mutex
 	completed uint64
 	errors    uint64
-	// shadowCompleted / shadowErrors tally Request.Shadow instances, which
-	// bypass every other field of the shard (see Stats.ShadowCompleted).
+	// shadowCompleted / shadowErrors / shadowLaunched tally Request.Shadow
+	// instances, which bypass every other field (see Stats.ShadowCompleted).
 	shadowCompleted uint64
 	shadowErrors    uint64
+	shadowLaunched  uint64
 	work            uint64
 	wasted          uint64
 	launched        uint64
@@ -256,15 +260,17 @@ func (sh *shard) record(r *engine.Result, latency time.Duration, tenant string) 
 }
 
 // recordShadow folds one completed shadow instance into the shard: a bare
-// completion/error tally, no latency sample, no tenant attribution — the
-// whole point of the Shadow flag is that this work is invisible to the
-// serving metrics.
+// completion/error/launch tally, no latency sample, no tenant attribution —
+// the whole point of the Shadow flag is that this work is invisible to the
+// serving metrics. Its launches count because its queries reach the
+// database like any other's.
 func (sh *shard) recordShadow(r *engine.Result) {
 	sh.mu.Lock()
 	sh.shadowCompleted++
 	if r.Err != nil {
 		sh.shadowErrors++
 	}
+	sh.shadowLaunched += uint64(r.Launched)
 	sh.mu.Unlock()
 }
 
@@ -306,6 +312,7 @@ func (s *Service) Stats() Stats {
 		st.Errors += sh.errors
 		st.ShadowCompleted += sh.shadowCompleted
 		st.ShadowErrors += sh.shadowErrors
+		st.ShadowLaunched += sh.shadowLaunched
 		st.Work += sh.work
 		st.WastedWork += sh.wasted
 		st.Launched += sh.launched
@@ -341,27 +348,12 @@ func (s *Service) Stats() Stats {
 	st.P50, st.P95, st.P99, st.Max, st.AvgLatency = lat.Summary()
 	// Derived where the dispatcher does not count per launch (see above).
 	if !d.shares() {
-		st.BackendQueries = st.Launched
+		st.BackendQueries = st.Launched + st.ShadowLaunched
 	}
 	if d.cfg.BatchSize <= 1 {
 		st.Batches, st.CutSize = st.BackendQueries, st.BackendQueries
 	}
 	return st
-}
-
-// Latency returns the completion-latency histogram merged over the stats
-// shards: cumulative since start or the last ResetStats, so the
-// completions between two readings are their difference
-// (hist.Snapshot.Sub).
-func (s *Service) Latency() hist.Snapshot {
-	var lat hist.Snapshot
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.lat.AddTo(&lat)
-		sh.mu.Unlock()
-	}
-	return lat
 }
 
 // ResetStats zeroes the aggregate metrics (latency histograms included);
@@ -391,7 +383,7 @@ func (s *Service) ResetStats() {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.completed, sh.errors = 0, 0
-		sh.shadowCompleted, sh.shadowErrors = 0, 0
+		sh.shadowCompleted, sh.shadowErrors, sh.shadowLaunched = 0, 0, 0
 		sh.work, sh.wasted, sh.launched, sh.synth, sh.failures = 0, 0, 0, 0, 0
 		sh.memoHits, sh.memoMisses = 0, 0
 		sh.lat = hist.Hist{} // no Observe races this: records hold sh.mu

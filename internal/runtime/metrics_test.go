@@ -108,11 +108,12 @@ func TestStatsStringGolden(t *testing.T) {
 				st.ShadowSubmitted = 120
 				st.ShadowCompleted = 118
 				st.ShadowErrors = 1
+				st.ShadowLaunched = 295
 				return st
 			},
 			want: "completed=1000 errors=2 work=5000 wasted=120 launched=2500 synthesis=800\n" +
 				"latency p50=2ms p95=9ms p99=14ms max=40ms avg=2.5ms\n" +
-				"shadow: submitted=120 completed=118 errors=1",
+				"shadow: submitted=120 completed=118 errors=1 launched=295",
 		},
 		{
 			name: "with-tenants",

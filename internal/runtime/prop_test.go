@@ -24,8 +24,9 @@ import (
 //
 //   - aggregate Work/WastedWork/Launched/SynthesisRuns equal the
 //     per-instance sums (nothing lost or double-counted by sharing);
-//   - every launch is exactly one of a backend query, a dedup hit, or a
-//     cache hit (shared queries billed once);
+//   - every launch, a shadow instance's included, is exactly one of a
+//     backend query, a dedup hit, or a cache hit (shared queries billed
+//     once);
 //   - WastedWork never exceeds Work.
 //
 // Together with the engine-level property tests this pins the oracle
@@ -49,10 +50,10 @@ func propCombos() []propCombo {
 }
 
 // runPropFleet drives `schemas` random schemas (two source bindings each,
-// instPerBinding instances per binding over a rotating strategy mix)
-// through the service, asserting per-instance oracle agreement and exact
-// fleet-level work conservation. It returns the run's Stats for
-// configuration-specific checks.
+// instPerBinding instances per binding over a rotating strategy mix, every
+// third a shadow instance) through the service, asserting per-instance
+// oracle agreement and exact fleet-level work conservation. It returns the
+// run's Stats for configuration-specific checks.
 func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed int64) Stats {
 	t.Helper()
 	strategies := engine.Strategies("PSE100", "PCE0", "NCC0", "PSC40", "NSE60", "PCE100")
@@ -64,10 +65,11 @@ func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed 
 		sumWasted atomic.Int64
 		sumLaunch atomic.Int64
 		sumSynth  atomic.Int64
+		sumShadow atomic.Int64 // shadow instances' launches
 		firstErr  atomic.Value
 	)
 	rng := rand.New(rand.NewSource(seed))
-	total := 0
+	total, shadows := 0, 0
 	for si := 0; si < schemas; si++ {
 		schemaSeed := rng.Int63()
 		s := randschema.Generate(rand.New(rand.NewSource(schemaSeed)), randschema.Config{})
@@ -76,12 +78,16 @@ func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed 
 			oracle := snapshot.Complete(s, sources)
 			for k := 0; k < instPerBinding; k++ {
 				st := strategies[(si+b+k)%len(strategies)]
+				shadow := k%3 == 2
 				wg.Add(1)
-				total++
+				if total++; shadow {
+					shadows++
+				}
 				err := svc.Submit(Request{
 					Schema:   s,
 					Sources:  sources,
 					Strategy: st,
+					Shadow:   shadow,
 					Done: func(r *engine.Result) {
 						defer wg.Done()
 						completed.Add(1)
@@ -98,6 +104,10 @@ func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed 
 						if r.WastedWork > r.Work {
 							failures.Add(1)
 							firstErr.CompareAndSwap(nil, fmt.Sprintf("schema seed %d strategy %s: WastedWork %d > Work %d", schemaSeed, st, r.WastedWork, r.Work))
+							return
+						}
+						if shadow {
+							sumShadow.Add(int64(r.Launched))
 							return
 						}
 						sumWork.Add(int64(r.Work))
@@ -121,8 +131,9 @@ func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed 
 		t.Fatalf("%d instances failed; first: %s", f, firstErr.Load())
 	}
 	st := svc.Stats()
-	if st.Completed != uint64(total) || st.Errors != 0 {
-		t.Fatalf("stats completed=%d errors=%d, want %d/0", st.Completed, st.Errors, total)
+	if st.Completed != uint64(total-shadows) || st.ShadowCompleted != uint64(shadows) || st.Errors+st.ShadowErrors != 0 {
+		t.Fatalf("stats completed=%d shadow=%d errors=%d/%d, want %d/%d/0/0",
+			st.Completed, st.ShadowCompleted, st.Errors, st.ShadowErrors, total-shadows, shadows)
 	}
 	// Work conservation: aggregates equal per-instance sums exactly.
 	if st.Work != uint64(sumWork.Load()) {
@@ -136,6 +147,9 @@ func runPropFleet(t *testing.T, svc *Service, schemas, instPerBinding int, seed 
 	}
 	if st.SynthesisRuns != uint64(sumSynth.Load()) {
 		t.Errorf("aggregate SynthesisRuns %d != per-instance sum %d", st.SynthesisRuns, sumSynth.Load())
+	}
+	if st.ShadowLaunched != uint64(sumShadow.Load()) {
+		t.Errorf("aggregate ShadowLaunched %d != per-instance sum %d", st.ShadowLaunched, sumShadow.Load())
 	}
 	return st
 }
@@ -162,14 +176,15 @@ func TestPropertyRandomSchemasAllCombos(t *testing.T) {
 			})
 			defer svc.Close()
 			st := runPropFleet(t, svc, schemas, instPerBinding, seed)
-			// Billing exactness under sharing: every launch is exactly one
-			// of backend query / dedup hit / cache hit.
-			if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
-				t.Errorf("launch conservation violated: launched=%d backend=%d dedup=%d cache=%d",
-					st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
+			// Billing exactness under sharing: every launch, shadow or
+			// live, is exactly one of backend query / dedup hit / cache hit.
+			launched := st.Launched + st.ShadowLaunched
+			if launched != st.BackendQueries+st.DedupHits+st.CacheHits {
+				t.Errorf("launch conservation violated: launched=%d+%d shadow backend=%d dedup=%d cache=%d",
+					st.Launched, st.ShadowLaunched, st.BackendQueries, st.DedupHits, st.CacheHits)
 			}
-			if st.BackendQueries > st.Launched {
-				t.Errorf("more backend queries (%d) than launches (%d)", st.BackendQueries, st.Launched)
+			if st.BackendQueries > launched {
+				t.Errorf("more backend queries (%d) than launches (%d)", st.BackendQueries, launched)
 			}
 			if combo.query.CacheSize > 0 && st.CacheHits == 0 && !testing.Short() {
 				t.Errorf("cache combo produced zero hits over %d instances", st.Completed)
@@ -242,9 +257,9 @@ func TestPropertyClusterTopologies(t *testing.T) {
 			if st.FailedQueries != 0 {
 				t.Errorf("healthy cluster surfaced %d failed queries", st.FailedQueries)
 			}
-			if st.Launched != st.BackendQueries+st.DedupHits+st.CacheHits {
-				t.Errorf("launch conservation violated over cluster: launched=%d backend=%d dedup=%d cache=%d",
-					st.Launched, st.BackendQueries, st.DedupHits, st.CacheHits)
+			if st.Launched+st.ShadowLaunched != st.BackendQueries+st.DedupHits+st.CacheHits {
+				t.Errorf("launch conservation violated over cluster: launched=%d+%d shadow backend=%d dedup=%d cache=%d",
+					st.Launched, st.ShadowLaunched, st.BackendQueries, st.DedupHits, st.CacheHits)
 			}
 			// Every shard must have seen traffic on some replica (random
 			// schemas spread identities across the hash space).

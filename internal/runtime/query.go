@@ -147,6 +147,8 @@ type flight struct {
 	dones []func(error)    // a heap flight's waiters
 	done  func(error)      // an own flight's one waiter
 	each  func(int, error) // an own flight's Exec callback
+	// parkedAt is when the flight last parked for a permit (under bmu).
+	parkedAt time.Time
 }
 
 // dispatcher implements the shared query layer; every launch of the service
@@ -381,6 +383,7 @@ func (d *dispatcher) enqueue(f *flight) {
 	if d.n.Add(1) > d.limit {
 		d.bmu.Lock()
 		if d.permits == 0 {
+			f.parkedAt = time.Now()
 			d.waiting = append(d.waiting, f)
 			d.bmu.Unlock()
 			d.parked.Add(1)
@@ -390,6 +393,21 @@ func (d *dispatcher) enqueue(f *flight) {
 		d.bmu.Unlock()
 	}
 	d.send(f)
+}
+
+// oldestParked returns when the longest-parked flight parked, or the zero
+// time when none is. Flights park only past the bound, so below it this is
+// one atomic load.
+func (d *dispatcher) oldestParked() time.Time {
+	if d.n.Load() <= d.limit {
+		return time.Time{}
+	}
+	d.bmu.Lock()
+	defer d.bmu.Unlock()
+	if len(d.waiting) == 0 {
+		return time.Time{}
+	}
+	return d.waiting[0].parkedAt
 }
 
 // send hands an admitted flight to the batcher, or with batching off

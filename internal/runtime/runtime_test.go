@@ -245,11 +245,14 @@ func TestGlobalAdmissionBound(t *testing.T) {
 	}
 }
 
-// TestZeroConfigCountsFromBackend checks the query-layer counters that a
-// service without sharing tables or batching derives instead of counting per
-// launch (see Stats) against the backend's own count: once drained,
-// BackendQueries, Launched, Batches and CutSize all equal the queries the
-// backend executed, on the Table 1 pattern and on quickstart.
+// TestZeroConfigCountsFromBackend checks the query-layer counters against
+// the backend's own count, on the Table 1 pattern and on quickstart, with
+// every other instance a shadow one: its queries reach the backend like any
+// other. Once drained, BackendQueries equals the queries the backend
+// executed and Launched + ShadowLaunched == BackendQueries + DedupHits +
+// CacheHits, both on the zero config — which derives BackendQueries, Batches
+// and CutSize instead of counting per launch (see Stats) — and with Dedup
+// and a cache.
 func TestZeroConfigCountsFromBackend(t *testing.T) {
 	g := gen.Generate(gen.Default())
 	qs, qsSources := quickstart(t)
@@ -262,25 +265,40 @@ func TestZeroConfigCountsFromBackend(t *testing.T) {
 		{"quickstart", qs, qsSources},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cb := &countingBackend{}
-			svc := New(Config{Backend: cb})
-			const n = 100
-			for range n {
-				if err := svc.Submit(Request{Schema: tc.schema, Sources: tc.sources, Strategy: engine.MustParseStrategy("PSE100")}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			svc.Close() // drained: every launch has reached the backend and come back
-			st := svc.Stats()
-			cb.mu.Lock()
-			total := uint64(cb.total)
-			cb.mu.Unlock()
-			if st.Completed != n || total == 0 {
-				t.Fatalf("completed %d of %d instances, backend executed %d queries", st.Completed, n, total)
-			}
-			if st.BackendQueries != total || st.Launched != total || st.Batches != total || st.CutSize != total {
-				t.Fatalf("backend executed %d queries; stats backend=%d launched=%d batches=%d cut-size=%d",
-					total, st.BackendQueries, st.Launched, st.Batches, st.CutSize)
+			for _, qc := range []struct {
+				name  string
+				query QueryConfig
+			}{
+				{"zero", QueryConfig{}},
+				{"shared", QueryConfig{Dedup: true, CacheSize: 64}},
+			} {
+				t.Run(qc.name, func(t *testing.T) {
+					cb := &countingBackend{}
+					svc := New(Config{Backend: cb, Query: qc.query})
+					const n = 100
+					for i := range n {
+						if err := svc.Submit(Request{Schema: tc.schema, Sources: tc.sources,
+							Strategy: engine.MustParseStrategy("PSE100"), Shadow: i%2 == 1}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					svc.Close() // drained: every launch has reached the backend and come back
+					st := svc.Stats()
+					cb.mu.Lock()
+					total := uint64(cb.total)
+					cb.mu.Unlock()
+					if st.Completed != n/2 || st.ShadowCompleted != n/2 || total == 0 || st.ShadowLaunched == 0 {
+						t.Fatalf("completed %d live and %d shadow of %d instances (%d shadow launches), backend executed %d queries",
+							st.Completed, st.ShadowCompleted, n, st.ShadowLaunched, total)
+					}
+					if st.BackendQueries != total || st.Launched+st.ShadowLaunched != st.BackendQueries+st.DedupHits+st.CacheHits {
+						t.Fatalf("backend executed %d queries; stats launched=%d shadow-launched=%d backend=%d dedup=%d cache=%d",
+							total, st.Launched, st.ShadowLaunched, st.BackendQueries, st.DedupHits, st.CacheHits)
+					}
+					if qc.query == (QueryConfig{}) && (st.Batches != total || st.CutSize != total) {
+						t.Fatalf("backend executed %d queries; stats batches=%d cut-size=%d", total, st.Batches, st.CutSize)
+					}
+				})
 			}
 		})
 	}

@@ -51,7 +51,7 @@ type Request struct {
 	// Shadow marks the instance as background comparison work (the
 	// server's shadow-evaluation path): it executes normally but is kept
 	// out of the serving metrics — completion counts, latency percentiles,
-	// Submitted — so overload shedding and SLO reporting see only the live
+	// Submitted — so latency and SLO reporting see only the live
 	// traffic. Shadow instances count under Stats.ShadowSubmitted /
 	// ShadowCompleted instead.
 	Shadow bool
@@ -389,6 +389,9 @@ type inst struct {
 	// instance is on the run queue or owned by a worker. Only the poster
 	// that flips it pushes, so an instance is never on the queue twice.
 	scheduled bool
+	// queuedAt is when the instance last became runnable: written by the
+	// poster that pushes it, read under the run queue's lock (QueueDelay).
+	queuedAt time.Time
 
 	// Owner-only state.
 	spare       []msg // the mailbox's other buffer (see run)
@@ -414,6 +417,11 @@ func (in *inst) post(m msg) {
 	in.scheduled = true
 	in.mbMu.Unlock()
 	if idle {
+		if m.kind == msgBegin {
+			in.queuedAt = in.start // SubmitCancel's clock read, on this goroutine
+		} else {
+			in.queuedAt = time.Now() // start may belong to a newer occupancy
+		}
 		in.svc.disp.hold() // until the owner goes idle (run) or retires
 		in.svc.scheduled.Add(1)
 		in.svc.runq.push(in)
@@ -606,8 +614,8 @@ func (in *inst) flight(id core.AttrID) *flight {
 
 // runQueue is an unbounded MPMC FIFO of runnable instances. Unbounded is
 // deliberate: admission control bounds database tasks, while instance
-// starts are the open workload itself — under overload the queue depth is
-// the load shed signal (see Service.QueueDepth).
+// starts are the open workload itself — under overload the head's age is
+// the load shed signal (see Service.QueueDelay).
 type runQueue struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -659,11 +667,33 @@ func (q *runQueue) close() {
 
 // QueueDepth returns the number of runnable instances waiting for a worker
 // — instances with undelivered events (a begin, completions, a cancel) that
-// no worker owns yet. It is the backlog signal under overload; an instance
-// counts once however many events it has pending.
+// no worker owns yet. An instance counts once however many events it has
+// pending.
 func (s *Service) QueueDepth() int {
 	q := &s.runq
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items) - q.head
+}
+
+// QueueDelay returns how long the oldest waiting work has waited: the older
+// of the run queue's head (an instance waiting for a worker) and the
+// longest-parked flight (a backend query waiting for an admission permit),
+// each its FIFO's oldest; 0 when both are empty. A backlog behind either
+// bound ages one of them, so this is the server's overload shed signal.
+func (s *Service) QueueDelay() time.Duration {
+	q := &s.runq
+	q.mu.Lock()
+	var oldest time.Time
+	if q.head < len(q.items) {
+		oldest = q.items[q.head].queuedAt
+	}
+	q.mu.Unlock()
+	if p := s.disp.oldestParked(); !p.IsZero() && (oldest.IsZero() || p.Before(oldest)) {
+		oldest = p
+	}
+	if oldest.IsZero() {
+		return 0
+	}
+	return time.Since(oldest)
 }

@@ -547,7 +547,7 @@ func TestBinaryTenantIsolationUnderOverload(t *testing.T) {
 		runtime.Config{Backend: backend, MaxInFlightTasks: 512},
 		func(cfg *Config) {
 			cfg.Tenant = TenantLimits{MaxInFlight: 12}
-			cfg.ShedQueueDepth = -1 // isolate the quota: no global shed
+			cfg.ShedDelay = -1 // isolate the quota: no global shed
 		})
 	ctx := context.Background()
 	src := map[string]value.Value{"order_total": value.Int(120), "customer_id": value.Int(7)}

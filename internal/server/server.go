@@ -15,11 +15,12 @@
 //	GET  /healthz         liveness (503 while draining)
 //
 // Admission runs in layers: per-tenant token-bucket rate limit and
-// in-flight quota first (429 + Retry-After, counted per cause), then the
-// global overload watermarks — runnable instances waiting for a worker and
-// recent p99 — which shed regardless of tenant (a full queue hurts
-// everyone's latency). What is admitted runs under the service's own
-// backend admission.
+// in-flight quota first (429 + Retry-After, counted per cause), then one
+// global overload bound on queueing delay — how long the oldest waiting
+// work has waited, whether an instance waiting for a worker or a backend
+// query waiting for an admission permit — which sheds regardless of tenant
+// (a backlog hurts everyone's latency). What is admitted runs under the
+// service's own backend admission.
 package server
 
 import (
@@ -44,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/flows"
-	"repro/internal/hist"
 	"repro/internal/runtime"
 )
 
@@ -58,17 +58,12 @@ type Config struct {
 	// Tenant are the per-tenant admission limits (each tenant gets its
 	// own bucket/quota with these bounds). Zero means unlimited.
 	Tenant TenantLimits
-	// ShedQueueDepth sheds new work once more than this many runnable
-	// instances are waiting for a worker (runtime.Service.QueueDepth; an
-	// instance counts once however many events it has pending). 0 = 4096;
-	// negative disables.
-	ShedQueueDepth int
-	// ShedP99 sheds new work while the service's recent p99 exceeds this
-	// watermark (0 disables). The p99 is sampled in the background every
-	// WatermarkInterval, over the completions of that interval alone.
-	ShedP99 time.Duration
-	// WatermarkInterval is the p99 sampling period (0 = 250ms).
-	WatermarkInterval time.Duration
+	// ShedDelay sheds new work, whatever its tenant, while the oldest
+	// waiting work has waited longer than this: an instance waiting for a
+	// worker or a backend query waiting for an admission permit
+	// (runtime.Service.QueueDelay), so a CPU-bound and a database-bound
+	// backlog both trip it. 0 = 100ms; negative disables.
+	ShedDelay time.Duration
 	// ResultTTL bounds how long an unfetched async result is retained
 	// (0 = 1 minute).
 	ResultTTL time.Duration
@@ -162,7 +157,6 @@ type Server struct {
 	draining bool
 	evals    sync.WaitGroup // admitted instances not yet completed
 
-	p99High  atomic.Bool
 	stopWake chan struct{}
 
 	// schemaGen counts schema registrations; binary connections use it to
@@ -282,11 +276,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.DefaultStrategy == (engine.Strategy{}) {
 		cfg.DefaultStrategy = engine.MustParseStrategy("PSE100")
 	}
-	if cfg.ShedQueueDepth == 0 {
-		cfg.ShedQueueDepth = 4096
-	}
-	if cfg.WatermarkInterval <= 0 {
-		cfg.WatermarkInterval = 250 * time.Millisecond
+	if cfg.ShedDelay == 0 {
+		cfg.ShedDelay = 100 * time.Millisecond
 	}
 	if cfg.ResultTTL <= 0 {
 		cfg.ResultTTL = time.Minute
@@ -364,9 +355,6 @@ func Open(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/schemas/{name}/shadow", s.handleShadowReport)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if cfg.ShedP99 > 0 {
-		go s.watchP99()
-	}
 	return s, nil
 }
 
@@ -559,32 +547,6 @@ func (s *Server) tenantFor(name string) *tenant {
 	return t
 }
 
-// watchP99 samples the tail latency of the completions of the last
-// interval and flips the overload bit. The interval's completions are the
-// difference of two readings of the cumulative latency histogram, so the
-// bit is honest in both directions: it cannot latch — a quiet interval
-// (shedding blocked everything, backlog drained) clears it so admitted
-// traffic probes the backend — and it cannot duty-cycle on stale samples,
-// because a recovered backend's fresh completions read fast immediately,
-// whichever stats shards the spike-era samples sit on.
-func (s *Server) watchP99() {
-	tick := time.NewTicker(s.cfg.WatermarkInterval)
-	defer tick.Stop()
-	var prev hist.Snapshot
-	for {
-		select {
-		case <-s.stopWake:
-			return
-		case <-tick.C:
-			cur := s.svc.Latency()
-			interval := cur
-			interval.Sub(&prev)
-			prev = cur
-			s.p99High.Store(interval.Quantile(0.99) > s.cfg.ShedP99) // 0 when quiet
-		}
-	}
-}
-
 // admitRefusal describes why admission refused a request, in
 // transport-neutral terms: each front end renders it onto its own wire
 // (writeHTTP ↔ 429/503/400 with Retry-After, binCode ↔ Error frame
@@ -616,19 +578,19 @@ func admitTenant(t *tenant, n int) *admitRefusal {
 }
 
 // admitShared runs the admission layers for n instances of tenant t: the
-// tenant's own (admitTenant), the global queue-depth/p99 watermarks, and
-// the drain gate. It returns nil when admitted — the caller then owns n
+// tenant's own (admitTenant), the global queueing-delay bound, and the
+// drain gate. It returns nil when admitted — the caller then owns n
 // claims on the tenant and the server's eval WaitGroup — or the refusal
 // for the caller's wire to render.
 func (s *Server) admitShared(t *tenant, n int) *admitRefusal {
 	if ref := admitTenant(t, n); ref != nil {
 		return ref
 	}
-	if (s.cfg.ShedQueueDepth >= 0 && s.svc.QueueDepth() > s.cfg.ShedQueueDepth) || s.p99High.Load() {
+	if s.cfg.ShedDelay >= 0 && s.svc.QueueDelay() > s.cfg.ShedDelay {
 		t.unadmit(n)
-		t.shedByQueue(n)
+		t.shedQueue.Add(uint64(n))
 		return &admitRefusal{retry: 25 * time.Millisecond,
-			msg: "server overloaded (queue depth or p99 past watermark)"}
+			msg: "server overloaded (queueing delay past the shed bound)"}
 	}
 	s.drainMu.RLock()
 	if s.draining {

@@ -213,55 +213,6 @@ func TestBatchExceedsBurst(t *testing.T) {
 	}
 }
 
-// TestShedP99Recovers: the p99 watermark must not latch. Once the slow
-// backlog drains, a quiet sampling tick clears the overload bit so
-// admitted traffic can probe the backend again.
-func TestShedP99Recovers(t *testing.T) {
-	_, srv, hs, _ := newTestStack(t, runtime.Config{},
-		func(cfg *Config) {
-			cfg.ShedP99 = time.Nanosecond // every completion trips the watermark
-			cfg.WatermarkInterval = 5 * time.Millisecond
-			cfg.ShedQueueDepth = -1
-		})
-	src := api.EncodeSources(map[string]value.Value{
-		"order_total": value.Int(120), "customer_id": value.Int(7),
-	})
-	eval := func() int {
-		resp := post(t, hs, "/v1/eval", "probe", api.EvalRequest{Schema: "quickstart", Sources: src})
-		drainBody(t, resp, nil)
-		return resp.StatusCode
-	}
-	if code := eval(); code != http.StatusOK {
-		t.Fatalf("first eval: %d", code)
-	}
-	// The completion's sample trips the watermark within a tick. Keep
-	// completions flowing while we wait: with a single sample the bit is
-	// set for only one watermark interval before the quiet tick clears
-	// it, and a loaded machine can sleep straight through that window.
-	deadline := time.Now().Add(2 * time.Second)
-	for !srv.p99High.Load() && time.Now().Before(deadline) {
-		eval()
-		time.Sleep(time.Millisecond)
-	}
-	if !srv.p99High.Load() {
-		t.Fatal("watermark never tripped")
-	}
-	// With no completions flowing, a quiet tick must clear it — and an
-	// eval admitted by the probe window succeeds (its own completion may
-	// re-trip the bit; retry through the oscillation).
-	ok := false
-	for time.Now().Before(deadline) {
-		if eval() == http.StatusOK {
-			ok = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !ok {
-		t.Fatal("watermark latched: no eval admitted after the backlog drained")
-	}
-}
-
 // TestBatchOrderAndStream: a batch response preserves request order; a
 // streamed batch delivers every result tagged with its request index.
 func TestBatchOrderAndStream(t *testing.T) {
@@ -473,7 +424,7 @@ func TestRateLimitAndClientRetry(t *testing.T) {
 }
 
 // blockerSchema is a one-foreign-task schema whose compute blocks until
-// release is closed — it pins a worker, making queue depth controllable.
+// release is closed — it pins a worker, so work queued behind it waits.
 func blockerSchema(t *testing.T, release chan struct{}) *core.Schema {
 	t.Helper()
 	return core.NewBuilder("blocker").
@@ -486,74 +437,94 @@ func blockerSchema(t *testing.T, release chan struct{}) *core.Schema {
 		MustBuild()
 }
 
-// TestQueueWatermarkShed: when the worker queue backs up past the
-// watermark, new work is shed regardless of tenant, with the queue cause
-// counted; the backlog still completes.
-func TestQueueWatermarkShed(t *testing.T) {
-	release := make(chan struct{})
-	_, srv, hs, _ := newTestStack(t,
-		runtime.Config{Workers: 1}, // single worker: one blocked compute stalls the queue
-		func(cfg *Config) { cfg.ShedQueueDepth = 2 })
-	srv.mu.Lock()
-	srv.schemas["blocker"] = newEntry(blockerSchema(t, release), "", "", 1)
-	srv.mu.Unlock()
-
-	// One blocking instance pins the worker; the next three queue up
-	// behind it (depth 3 > watermark 2). All four are async so the HTTP
-	// round trips complete before the flood check.
-	ids := make([]string, 4)
-	for i := range ids {
-		resp := post(t, hs, "/v1/eval", "any", api.EvalRequest{
-			Schema: "blocker", Async: true,
-			Sources: map[string]any{"x": 1},
-		})
-		var ack api.AsyncResponse
-		drainBody(t, resp, &ack)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("async %d: status %d", i, resp.StatusCode)
-		}
-		ids[i] = ack.ID
-		if i == 0 {
-			// Wait for the worker to actually enter the blocked compute, so
-			// the next three sit in the queue rather than racing it.
-			deadline := time.Now().Add(2 * time.Second)
-			for srv.svc.QueueDepth() != 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+// TestQueueDelayShed: with the default ShedDelay, a backlog is shed
+// regardless of tenant, with the queue cause counted, within 2 × ShedDelay
+// + 50ms of forming — whether it waits for a worker (one worker pinned by a
+// blocking compute) or for the database (two admission permits held by a
+// stalled backend, the other queries parked in the dispatcher). Once the
+// backlog drains the shed stops, and every backlogged eval completes.
+func TestQueueDelayShed(t *testing.T) {
+	const shedDelay = 100 * time.Millisecond // Config.ShedDelay's default
+	for _, tc := range []struct {
+		name   string
+		schema string
+		svc    runtime.Config
+		gated  bool // the backend is a stalled gateBackend
+	}{
+		{"worker-bound", "blocker", runtime.Config{Workers: 1}, false},
+		{"database-bound", "quickstart", runtime.Config{MaxInFlightTasks: 2}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			gate := &gateBackend{stalled: true}
+			if tc.gated {
+				tc.svc.Backend = gate
 			}
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.svc.QueueDepth() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if d := srv.svc.QueueDepth(); d < 3 {
-		t.Fatalf("queue depth %d, want >= 3", d)
-	}
+			_, srv, hs, _ := newTestStack(t, tc.svc, nil)
+			drain := sync.OnceFunc(func() {
+				close(release)
+				gate.unstall()
+			})
+			t.Cleanup(drain) // before the stack's own cleanup drains the server
+			srv.mu.Lock()
+			srv.schemas["blocker"] = newEntry(blockerSchema(t, release), "", "", 1)
+			srv.mu.Unlock()
+			sources := map[string]any{"x": 1, "order_total": 120, "customer_id": 7}
+			type pending struct{ tenant, id string }
+			var backlog []pending
+			evalAsync := func(tenant string) int {
+				resp := post(t, hs, "/v1/eval", tenant, api.EvalRequest{Schema: tc.schema, Async: true, Sources: sources})
+				var ack api.AsyncResponse
+				drainBody(t, resp, &ack)
+				if resp.StatusCode == http.StatusAccepted {
+					backlog = append(backlog, pending{tenant, ack.ID})
+				}
+				return resp.StatusCode
+			}
 
-	resp := post(t, hs, "/v1/eval", "victim", api.EvalRequest{
-		Schema: "blocker", Sources: map[string]any{"x": 2},
-	})
-	var e api.ErrorResponse
-	drainBody(t, resp, &e)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d (%s), want 429 queue shed", resp.StatusCode, e.Error)
-	}
-	if adm := srv.tenantFor("victim").admission(); adm.ShedQueue != 1 {
-		t.Fatalf("shed-queue counter = %d, want 1", adm.ShedQueue)
-	}
+			// The first instance pins the worker or takes the permits; the
+			// rest wait behind it. Then probe until a shed.
+			formed := time.Now()
+			for i := range 4 {
+				if code := evalAsync("any"); code != http.StatusAccepted {
+					t.Fatalf("backlog eval %d: status %d", i, code)
+				}
+			}
+			for {
+				code := evalAsync("victim")
+				if code == http.StatusTooManyRequests {
+					break
+				}
+				if code != http.StatusAccepted {
+					t.Fatalf("probe: status %d", code)
+				}
+				if waited := time.Since(formed); waited > 2*shedDelay+50*time.Millisecond {
+					t.Fatalf("nothing shed %v after the backlog formed", waited)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			if adm := srv.tenantFor("victim").admission(); adm.ShedQueue != 1 {
+				t.Fatalf("shed-queue counter = %d, want 1", adm.ShedQueue)
+			}
 
-	close(release)
-	for _, id := range ids {
-		req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/results/"+id+"?timeout=10s", nil)
-		req.Header.Set(api.TenantHeader, "any")
-		r, err := hs.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("backlog result %s: status %d", id, r.StatusCode)
-		}
+			drain()
+			for _, p := range backlog {
+				req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/results/"+p.id+"?timeout=10s", nil)
+				req.Header.Set(api.TenantHeader, p.tenant)
+				r, err := hs.Client().Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Body.Close()
+				if r.StatusCode != http.StatusOK {
+					t.Fatalf("backlog result %s: status %d", p.id, r.StatusCode)
+				}
+			}
+			// Drained: nothing waits, so nothing is shed.
+			if code := evalAsync("victim"); code != http.StatusAccepted {
+				t.Fatalf("eval after the backlog drained: status %d, want 202", code)
+			}
+		})
 	}
 }
 
@@ -640,7 +611,7 @@ func TestTenantIsolationUnderOverload(t *testing.T) {
 		runtime.Config{Backend: backend, MaxInFlightTasks: 512},
 		func(cfg *Config) {
 			cfg.Tenant = TenantLimits{MaxInFlight: 12}
-			cfg.ShedQueueDepth = -1 // isolate the quota: no global shed
+			cfg.ShedDelay = -1 // isolate the quota: no global shed
 		})
 	ctx := context.Background()
 	src := map[string]value.Value{"order_total": value.Int(120), "customer_id": value.Int(7)}

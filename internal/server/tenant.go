@@ -109,7 +109,7 @@ func (t *tenant) admit(n int) (ok bool, cause shedCause, retryAfter time.Duratio
 }
 
 // accept counts n instances as admitted to the runtime. Separate from
-// admit because the caller's global checks (queue watermark, draining)
+// admit because the caller's global checks (queueing delay, draining)
 // run between the two; only what passes them all is truly accepted.
 func (t *tenant) accept(n int) { t.accepted.Add(uint64(n)) }
 
@@ -122,7 +122,7 @@ func (t *tenant) unaccept(n int) { t.accepted.Add(^uint64(n - 1)) }
 func (t *tenant) release(n int) { t.inFlight.Add(int64(-n)) }
 
 // unadmit rolls back a successful admit whose request was then refused
-// by a later layer (global watermark, draining): the in-flight claim
+// by a later layer (queueing-delay shed, draining): the in-flight claim
 // and the rate-bucket tokens both return, so the shed layers compose
 // instead of compounding — a tenant shed by the global queue must not
 // also find its rate budget burned once the overload clears.
@@ -134,9 +134,6 @@ func (t *tenant) unadmit(n int) {
 		t.mu.Unlock()
 	}
 }
-
-// shedByQueue counts a global-watermark shed against the tenant.
-func (t *tenant) shedByQueue(n int) { t.shedQueue.Add(uint64(n)) }
 
 // admission snapshots the tenant's counters for /v1/stats.
 func (t *tenant) admission() api.TenantAdmission {
